@@ -32,13 +32,14 @@ the range where relative bounds break down (subnormals).  Callers treat
 never guesses.
 
 When a kernel *can* certify that its result is the mathematically exact
-value (not merely within bound), it says so: the error-free cases (pure
-double addition, in-range pure double products, exact square roots, ...)
-keep drift at ``EXACT`` so loop counters and scale factors never force
-escalation.  Exactness claims additionally require the result to fit the
-full-precision oracle tier (see :func:`fits_precision`): a value the
-full tier would have to round may not be claimed exact, or reports could
-diverge between tiers.
+value (not merely within bound), it says so: the error-free cases
+(additions whose rounding residues are all zero, in-range pure double
+products, exact square roots, ...) keep drift at ``EXACT`` so loop
+counters, scale factors and accumulations that stay within 106 bits
+never force escalation.  Exactness claims additionally require the
+result to fit the full-precision oracle tier (see
+:func:`fits_precision`): a value the full tier would have to round may
+not be claimed exact, or reports could diverge between tiers.
 """
 
 from __future__ import annotations
@@ -149,17 +150,24 @@ def dd_add(
     if sh - sh != 0.0:  # inf or nan: overflow, or nonfinite input
         return None
     th, tl = two_sum(xl, yl)
+    # The algorithm's two plain additions, sl + th and tl + vl, run as
+    # TwoSum (inlined) so their rounding residues e1 and e2 come out
+    # too.  Everything else is error-free, so when both residues are
+    # zero, zh + zl is exactly x + y.  This covers pure-double operands
+    # (th = tl = 0) and long accumulations that stay representable in
+    # 106 bits.  Exact cancellation comes out +0.0, matching the
+    # working tier's round-to-nearest cancellation rule.
     c = sl + th
+    bb = c - sl
+    e1 = (sl - (c - bb)) + (th - bb)
     vh, vl = quick_two_sum(sh, c)
     w = tl + vl
+    bb = w - tl
+    e2 = (tl - (w - bb)) + (vl - bb)
     zh, zl = quick_two_sum(vh, w)
     if zh - zh != 0.0:
         return None
-    if xl == 0.0 and yl == 0.0:
-        # TwoSum is error-free: (sh, sl) is exactly xh + yh, and the
-        # remaining steps only renormalize it.  Exact cancellation comes
-        # out +0.0 here, matching the working tier's round-to-nearest
-        # cancellation rule.
+    if e1 == 0.0 and e2 == 0.0:
         return zh, zl, True
     if zh != 0.0 and -_TINY < zh < _TINY:
         # Inexact result in the deep-underflow range: the relative
@@ -413,26 +421,31 @@ class DoubleDouble:
     def __repr__(self) -> str:
         return f"DoubleDouble({self.hi!r}, {self.lo!r})"
 
-    # -- comparisons (exact, via the rational value) -------------------
+    # -- comparisons (exact) -------------------------------------------
     #
-    # Comparisons on shadow values are rare (branch certification goes
-    # through the policy's banded path first), so these favour being
-    # unconditionally correct over being fast.
+    # Loop branches compare two pair shadows on every iteration, so the
+    # common operands — another pair, or a float as the pair (f, 0.0) —
+    # are ordered lexicographically on (hi, lo).  That order is exact: a
+    # normalized pair has hi == RN(hi + lo), and RN is monotone, so
+    # hi1 < hi2 implies value1 < value2, and equal hi leaves lo to
+    # decide.  A NaN float fails every ordered test and an infinity
+    # orders by its sign, as IEEE requires.  Any other operand (BigFloat,
+    # int) is compared through its exact rational value.
 
     def _as_comparable(self, other: object):
-        if type(other) is DoubleDouble:
-            return other.to_fraction()
         if isinstance(other, BigFloat):
             if not other.is_finite():
                 return None
             return other.to_fraction()
-        if isinstance(other, (int, float)):
-            if isinstance(other, float) and not math.isfinite(other):
-                return None
+        if isinstance(other, int):
             return Fraction(other)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is DoubleDouble:
+            return self.hi == other.hi and self.lo == other.lo
+        if isinstance(other, float):
+            return self.hi == other and self.lo == 0.0
         value = self._as_comparable(other)
         if value is NotImplemented:
             return NotImplemented
@@ -445,45 +458,53 @@ class DoubleDouble:
         return not result
 
     def __lt__(self, other: object) -> bool:
+        if type(other) is DoubleDouble:
+            return self.hi < other.hi or (
+                self.hi == other.hi and self.lo < other.lo)
+        if isinstance(other, float):
+            return self.hi < other or (self.hi == other and self.lo < 0.0)
         value = self._as_comparable(other)
         if value is NotImplemented:
             return NotImplemented
-        if value is None:  # vs inf / nan
-            if isinstance(other, BigFloat) and other.is_inf():
-                return other.sign == 0
-            if isinstance(other, float) and math.isinf(other):
-                return other > 0
-            return False
+        if value is None:  # vs a BigFloat inf / nan
+            return other.is_inf() and other.sign == 0
         return self.to_fraction() < value
 
     def __gt__(self, other: object) -> bool:
+        if type(other) is DoubleDouble:
+            return self.hi > other.hi or (
+                self.hi == other.hi and self.lo > other.lo)
+        if isinstance(other, float):
+            return self.hi > other or (self.hi == other and self.lo > 0.0)
         value = self._as_comparable(other)
         if value is NotImplemented:
             return NotImplemented
         if value is None:
-            if isinstance(other, BigFloat) and other.is_inf():
-                return other.sign == 1
-            if isinstance(other, float) and math.isinf(other):
-                return other < 0
-            return False
+            return other.is_inf() and other.sign == 1
         return self.to_fraction() > value
 
     def __le__(self, other: object) -> bool:
+        if type(other) is DoubleDouble:
+            return self.hi < other.hi or (
+                self.hi == other.hi and self.lo <= other.lo)
+        if isinstance(other, float):
+            return self.hi < other or (self.hi == other and self.lo <= 0.0)
         gt = self.__gt__(other)
         if gt is NotImplemented:
             return NotImplemented
-        if isinstance(other, float) and math.isnan(other):
-            return False
         if isinstance(other, BigFloat) and other.is_nan():
             return False
         return not gt
 
     def __ge__(self, other: object) -> bool:
+        if type(other) is DoubleDouble:
+            return self.hi > other.hi or (
+                self.hi == other.hi and self.lo >= other.lo)
+        if isinstance(other, float):
+            return self.hi > other or (self.hi == other and self.lo >= 0.0)
         lt = self.__lt__(other)
         if lt is NotImplemented:
             return NotImplemented
-        if isinstance(other, float) and math.isnan(other):
-            return False
         if isinstance(other, BigFloat) and other.is_nan():
             return False
         return not lt

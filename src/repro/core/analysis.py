@@ -51,7 +51,6 @@ from repro.core.localerror import rounded_local_error, rounded_total_error
 from repro.ieee.error import bits_of_error_fast
 from repro.ieee.float32 import to_single
 from repro.ieee.float64 import double_to_bits as _double_bits
-from repro.machine import lanes
 from repro.core.records import (
     OpRecord,
     SpotRecord,
@@ -1529,11 +1528,6 @@ class HerbgrindAnalysis(Tracer):
             not single
             and self.backend.double_handlers.get(op) is fn_double
         )
-        vec_machine = (
-            not single and machine_fn is fn_double
-            and lanes.HAVE_NUMPY and op in lanes.MACHINE_BINARY_OPS
-        )
-        vec_dd = hw and lanes.HAVE_NUMPY and op in lanes.DD_BINARY_OPS
         ops_table = pool._ops_table
         new_op = pool.new_op
         raw = kernel2 is not None
@@ -1561,20 +1555,6 @@ class HerbgrindAnalysis(Tracer):
             n = len(avals)
             rvals = [0.0] * n
             rshads = [None] * n
-            # Vectorized pre-passes over the whole column (see
-            # repro.machine.lanes): per-lane consumption below is
-            # bit-identical either way, so these are pure speed.
-            mcol = (
-                lanes.machine_binary(op, avals, bvals, machine_fn)
-                if vec_machine else None
-            )
-            vec_ok = None
-            if vec_dd:
-                dd_cols = lanes.dd_binary_columns(
-                    op, avals, ashads, bvals, bshads
-                )
-                if dd_cols is not None:
-                    vec_hi, vec_lo, vec_exact, vec_ok = dd_cols
             for i in range(n):
                 av = avals[i]
                 bv = bvals[i]
@@ -1587,23 +1567,16 @@ class HerbgrindAnalysis(Tracer):
                 sb = bshads[i]
                 if sb is None:
                     sb = bshads[i] = opaque_of(bv)
-                if mcol is not None:
-                    value = mcol[i]
-                else:
-                    value = machine_fn(av, bv)
-                    if single:
-                        value = narrow(value)
+                value = machine_fn(av, bv)
+                if single:
+                    value = narrow(value)
                 rvals[i] = value
                 ta = sa.trace
                 tb = sb.trace
                 # --- kernel stage -------------------------------------
                 real = None
                 exact_op = False
-                if vec_ok is not None and vec_ok[i]:
-                    real = DD(vec_hi[i], vec_lo[i])
-                    exact_op = vec_exact[i]
-                    self.hw_kernel_ops += 1
-                elif hw:
+                if hw:
                     xa = sa.real
                     xb = sb.real
                     if type(xa) is DD and type(xb) is DD:
@@ -1812,12 +1785,6 @@ class HerbgrindAnalysis(Tracer):
         total_record = None
         prob_record = None
 
-        vec_machine = (
-            not single and machine_fn is fn_double
-            and lanes.HAVE_NUMPY and op in lanes.MACHINE_UNARY_OPS
-        )
-        vec_dd = hw and lanes.HAVE_NUMPY and op in lanes.DD_UNARY_OPS
-
         def run(avals, ashads):
             nonlocal record, fast_walk, bail_walk, total_record, prob_record
             if record is None:
@@ -1830,36 +1797,20 @@ class HerbgrindAnalysis(Tracer):
             n = len(avals)
             rvals = [0.0] * n
             rshads = [None] * n
-            mcol = (
-                lanes.machine_unary(op, avals, machine_fn)
-                if vec_machine else None
-            )
-            vec_ok = None
-            if vec_dd:
-                dd_cols = lanes.dd_unary_columns(op, avals, ashads)
-                if dd_cols is not None:
-                    vec_hi, vec_lo, vec_exact, vec_ok = dd_cols
             for i in range(n):
                 av = avals[i]
                 sa = ashads[i]
                 if sa is None:
                     sa = ashads[i] = opaque_of(av)
-                if mcol is not None:
-                    value = mcol[i]
-                else:
-                    value = machine_fn(av)
-                    if single:
-                        value = narrow(value)
+                value = machine_fn(av)
+                if single:
+                    value = narrow(value)
                 rvals[i] = value
                 ta = sa.trace
                 # --- kernel stage -------------------------------------
                 real = None
                 exact_op = False
-                if vec_ok is not None and vec_ok[i]:
-                    real = DD(vec_hi[i], vec_lo[i])
-                    exact_op = vec_exact[i]
-                    self.hw_kernel_ops += 1
-                elif hw:
+                if hw:
                     xa = sa.real
                     if type(xa) is DD:
                         if dd_kernel is not None:
@@ -2039,25 +1990,32 @@ class HerbgrindAnalysis(Tracer):
         real_result = result_shadow.real
         if not real_result.is_finite():
             return None
+        # Condition (b) first: it is cached error measurements and a
+        # float compare, and it usually fails (error-free args cannot be
+        # "corrected"), so the real-valued equality of condition (a) is
+        # rarely reached — and when neither argument carries error the
+        # output error need not be measured at all (errors are never
+        # negative).  Pure reordering of a conjunction — the verdict is
+        # unchanged.
+        arg_errors = []
+        for shadow, arg_value in zip(shadows, arg_values):
+            arg_error = shadow.total_error
+            if arg_error is None:
+                arg_error = shadow.total_error = rounded_total_error(
+                    arg_value, self._rounded(shadow)
+                )
+            arg_errors.append(arg_error)
+        if arg_errors[0] == 0.0 and arg_errors[1] == 0.0:
+            return None
         out_error = result_shadow.total_error
         if out_error is None:
             out_error = result_shadow.total_error = rounded_total_error(
                 result_value, self._rounded(result_shadow)
             )
         for index in (0, 1):
-            shadow = shadows[index]
-            # Condition (b) first: it is two cached error measurements
-            # and a float compare, and it usually fails (error-free
-            # args cannot be "corrected"), so the real-valued equality
-            # of condition (a) is rarely reached.  Pure reordering of a
-            # conjunction — the verdict is unchanged.
-            arg_error = shadow.total_error
-            if arg_error is None:
-                arg_error = shadow.total_error = rounded_total_error(
-                    arg_values[index], self._rounded(shadow)
-                )
-            if out_error >= arg_error:
+            if out_error >= arg_errors[index]:
                 continue
+            shadow = shadows[index]
             other = shadows[1 - index]
             candidate = shadow.real
             if index == 1 and op == "-":

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.bigfloat import BigFloat, Context, apply_double
-from repro.ieee import bits_of_error
+from repro.ieee.error import bits_of_error_fast
 
 
 def rounded_local_error(
@@ -44,12 +44,12 @@ def rounded_local_error(
 ) -> float:
     """Bits of local error given pre-rounded argument/result doubles."""
     float_result = apply_double(op, rounded_args)
-    return bits_of_error(float_result, exact_rounded)
+    return bits_of_error_fast(float_result, exact_rounded)
 
 
 def rounded_total_error(float_value: float, exact_rounded: float) -> float:
     """Bits of error of a program value against its rounded shadow real."""
-    return bits_of_error(float_value, exact_rounded)
+    return bits_of_error_fast(float_value, exact_rounded)
 
 
 def local_error(

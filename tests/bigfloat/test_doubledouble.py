@@ -27,6 +27,7 @@ forbidden outcome.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import struct
 from fractions import Fraction
@@ -45,6 +46,7 @@ from repro.bigfloat.doubledouble import (
     dd_mul,
     dd_neg,
     dd_sqrt,
+    dd_sub,
     fits_precision,
     from_double,
     two_prod,
@@ -301,6 +303,101 @@ class TestExactnessHonesty:
         assert all(count > 100 for count in claims.values()), claims
 
 
+class TestAddExactClaims:
+    """`dd_add`/`dd_sub` claim exactness from their own rounding
+    residues; every claim must hold in Fraction arithmetic, on the
+    operand shapes where a wrong claim is most likely."""
+
+    @staticmethod
+    def check(kernel, xh, xl, yh, yl, claims):
+        outcome = kernel(xh, xl, yh, yl)
+        if outcome is None:
+            return None
+        zh, zl, exact = outcome
+        x, y = frac(xh, xl), frac(yh, yl)
+        truth = x + y if kernel is dd_add else x - y
+        if exact:
+            claims.append(1)
+            assert frac(zh, zl) == truth, (kernel.__name__, xh, xl, yh, yl)
+        elif truth != 0:
+            assert abs(frac(zh, zl) - truth) <= REL_BOUND * abs(truth)
+        # Whatever the flag, the result is a normalized pair.
+        assert two_sum(zh, zl)[0] == zh
+        return zh, zl
+
+    def test_long_decimal_accumulations(self):
+        # The loop-accumulator shape: acc += c, k times.  Each step is
+        # exact while the running sum fits 106 bits, and must stop
+        # claiming exactness the moment it does not.
+        claims = []
+        for step in (0.1, -0.1, 0.3, 1.0 / 3.0, 0.7, 1e-3, 12.25):
+            for kernel in (dd_add, dd_sub):
+                acc = (0.0, 0.0)
+                for _ in range(3000):
+                    nxt = self.check(kernel, *acc, step, 0.0, claims)
+                    if nxt is None:
+                        break
+                    acc = nxt
+        assert len(claims) > 20000
+
+    def test_random_pairs_and_cancellation(self):
+        rng = random.Random(0xDDD0)
+        claims = []
+        for _ in range(3000):
+            xh, xl = random_dd(rng, -60, 60)
+            yh, yl = random_dd(rng, -60, 60)
+            for kernel in (dd_add, dd_sub):
+                self.check(kernel, xh, xl, yh, yl, claims)
+                # Near and exact cancellation: y close to (or equal
+                # to) -x for addition, x for subtraction.
+                sign = -1.0 if kernel is dd_add else 1.0
+                shift = math.ldexp(1.0, rng.randint(-110, -50))
+                self.check(kernel, xh, xl, sign * xh, sign * xl, claims)
+                th, tl = two_sum(sign * xh, sign * (xl + xh * shift))
+                self.check(kernel, xh, xl, th, tl, claims)
+                self.check(kernel, xh, xl, sign * xh, 0.0, claims)
+        assert len(claims) > 3000
+
+    def test_signed_zeros(self):
+        claims = []
+        values = (0.0, -0.0, 1.5, -1.5, math.ldexp(1.0, -1074))
+        for xh in values:
+            for yh in values:
+                for kernel in (dd_add, dd_sub):
+                    zh, zl, exact = kernel(xh, 0.0, yh, 0.0)
+                    assert exact
+                    self.check(kernel, xh, 0.0, yh, 0.0, claims)
+                    hardware = xh + yh if kernel is dd_add else xh - yh
+                    assert bits(zh) == bits(hardware), (kernel, xh, yh)
+        # x + (-x) over a genuinely wide pair cancels to +0.0.
+        zh, zl, exact = dd_add(1.0, 2.0 ** -60, -1.0, -(2.0 ** -60))
+        assert exact and bits(zh) == bits(0.0) and zl == 0.0
+
+    def test_lo_at_half_an_ulp(self):
+        # lo = +-ulp(hi)/2 is the widest normalized pair: hi must have
+        # an even significand for the tie to round back to it.
+        rng = random.Random(0xDDE0)
+        claims = []
+        for _ in range(2000):
+            mantissa, exponent = math.frexp(random_double(rng, -40, 40))
+            even = math.ldexp(
+                math.ldexp(mantissa, 53) // 2 * 2, exponent - 53)
+            half_ulp = math.ldexp(1.0, math.frexp(even)[1] - 54)
+            if abs(math.frexp(even)[0]) == 0.5:
+                half_ulp /= 2.0  # the ulp below a power of two is half
+            for lo_sign in (1.0, -1.0):
+                xh, xl = even, lo_sign * half_ulp
+                assert two_sum(xh, xl)[0] == xh
+                yh, yl = random_dd(rng, -40, 40)
+                for kernel in (dd_add, dd_sub):
+                    self.check(kernel, xh, xl, yh, yl, claims)
+                    self.check(kernel, xh, xl, xh, xl, claims)
+                    self.check(kernel, xh, xl, xh, -xl, claims)
+                    self.check(kernel, xh, xl, float(rng.randint(-9, 9)),
+                               0.0, claims)
+        assert len(claims) > 2000
+
+
 class TestFitsPrecision:
     def test_claimed_fits_round_trip_exactly(self):
         rng = random.Random(0xDD90)
@@ -345,6 +442,74 @@ class TestDoubleDoubleValue:
             assert (a <= b) == (fa <= fb)
             assert (a == b) == (fa == fb)
             assert (a > b) == (fa > fb)
+
+    COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge,
+                   operator.eq, operator.ne)
+
+    @staticmethod
+    def comparison_pairs():
+        """Pairs that stress the lexicographic (hi, lo) order: shared
+        hi, lo of either sign, and hi at a power of two (where hi can
+        sit one binade above the value)."""
+        rng = random.Random(0xDDB8)
+        pairs = [(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]
+        for exponent in (-3, 0, 1, 52, 53):
+            power = math.ldexp(1.0, exponent)
+            for sign in (1.0, -1.0):
+                hi = sign * power
+                pairs.append((hi, 0.0))
+                # lo up to half an ulp above, a quarter ulp below.
+                for lo in (math.ldexp(power, -54), math.ldexp(power, -80),
+                           -math.ldexp(power, -55), -math.ldexp(power, -90)):
+                    pairs.append((hi, lo))
+                    pairs.append((hi, -lo))
+                below = math.nextafter(hi, 0.0)
+                pairs.append((below, math.ldexp(power, -56)))
+                pairs.append((below, -math.ldexp(power, -56)))
+        for _ in range(60):
+            pairs.append(random_dd(rng, -3, 3))
+        for hi, lo in pairs:
+            assert two_sum(hi, lo)[0] == hi  # normalized
+        return [DoubleDouble(hi, lo) for hi, lo in pairs]
+
+    def test_comparison_oracle_pairs(self):
+        values = self.comparison_pairs()
+        for a in values:
+            for b in values:
+                for op in self.COMPARISONS:
+                    assert op(a, b) == op(a.to_fraction(), b.to_fraction()), \
+                        (op.__name__, a, b)
+
+    def test_comparison_oracle_floats(self):
+        values = self.comparison_pairs()
+        floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0,
+                  0.5, 2.0, math.ldexp(1.0, 53), math.nextafter(1.0, 2.0)]
+        floats += [a.hi for a in values]
+        for a in values:
+            exact = a.to_fraction()
+            for f in floats:
+                for op in self.COMPARISONS:
+                    # Fraction orders against inf/nan floats as IEEE does.
+                    assert op(a, f) == op(exact, f), (op.__name__, a, f)
+                    assert op(f, a) == op(f, exact), (op.__name__, f, a)
+
+    def test_comparison_oracle_bigfloats(self):
+        values = self.comparison_pairs()
+        others = [BigFloat.from_float(f) for f in
+                  (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.0)]
+        others += [v.to_bigfloat() for v in values[::3]]
+        for a in values:
+            exact = a.to_fraction()
+            for big in others:
+                if big.is_finite():
+                    truth = big.to_fraction()
+                else:
+                    truth = big.to_float()  # inf/nan compare as floats
+                for op in self.COMPARISONS:
+                    assert op(a, big) == op(exact, truth), \
+                        (op.__name__, a, big)
+                    assert op(big, a) == op(truth, exact), \
+                        (op.__name__, big, a)
 
     def test_from_double_and_to_float(self):
         for value in (0.0, -0.0, 1.5, -1e308, 5e-324):

@@ -9,8 +9,8 @@ independent references —
 * for binary32, a from-scratch round-half-even implementation over
   exact ``Fraction`` arithmetic written here (NOT via a
   double→single cast, which would double-round), cross-checked
-  against ``numpy.float32`` where the value survives a single
-  rounding.
+  against the platform's double→binary32 conversion (``struct``'s
+  ``f`` format) where the value survives a single rounding.
 
 The sweeps concentrate on the hard regions: the normal/subnormal
 boundary, ``precision == 1`` (between the two smallest subnormals),
@@ -29,11 +29,16 @@ import pytest
 
 from repro.bigfloat import BigFloat
 
-numpy = pytest.importorskip("numpy", reason="numpy crosscheck optional")
-
-
 def bits64(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+def platform_single(value: float) -> float:
+    """The C double->float conversion: one round-half-even rounding."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:  # rounds beyond the binary32 range
+        return math.copysign(math.inf, value)
 
 
 def reference_double(value: Fraction) -> float:
@@ -158,9 +163,9 @@ class TestToSingleSweeps:
             assert bits64(value.to_single()) == bits64(expected), \
                 f"sign={sign} man={man} exp={exp}"
 
-    def test_numpy_crosscheck_single_rounding_cases(self):
+    def test_platform_crosscheck_single_rounding_cases(self):
         # Where the exact value fits a double exactly, double->float32
-        # is a single rounding and numpy is a valid oracle.
+        # is a single rounding and the platform cast is a valid oracle.
         rng = random.Random(11)
         for __ in range(4000):
             mant_bits = rng.randint(1, 53)
@@ -172,7 +177,7 @@ class TestToSingleSweeps:
                 continue
             if BigFloat.from_float(as_double).key() != value.key():
                 continue  # the double itself was rounded: skip
-            expected = float(numpy.float32(as_double))
+            expected = platform_single(as_double)
             assert bits64(value.to_single()) == bits64(expected), \
                 f"man={man} exp={exp}"
 
@@ -187,4 +192,4 @@ class TestToSingleSweeps:
         # max_float32 + ulp/2: tie between max (odd) and inf side.
         assert BigFloat(0, (1 << 25) - 1, 103).to_single() == math.inf
         below = BigFloat(0, (1 << 25) - 3, 103).to_single()
-        assert below == float(numpy.float32(3.4028233e38))
+        assert below == platform_single(3.4028233e38)

@@ -121,6 +121,28 @@ class TestEscalation:
         assert fixed.branch_divergences == adaptive.branch_divergences
 
 
+class TestHardwareTierLoops:
+    def test_decimal_accumulation_never_escalates(self):
+        # acc += 0.1 stays representable in 106 bits for every trip
+        # count the precondition allows, and dd_add proves each step
+        # exact from its rounding residues — so the loop stays on the
+        # hardware tier with EXACT drift instead of replaying its
+        # history at the working tier on rounding ties.
+        from repro.fpcore import corpus_by_name
+
+        core = corpus_by_name()["loop-tenth-accumulate"]
+        config = AnalysisConfig(
+            shadow_precision=1000, precision_policy="adaptive",
+            hw_tier=True,
+        )
+        adaptive = AnalysisSession(config=config, num_points=8).analyze(core)
+        fixed = AnalysisSession(config=FIXED, num_points=8).analyze(core)
+        residency = adaptive.extra["tier_residency"]
+        assert residency["escalations"] == 0
+        assert residency["hw_kernel_ops"] > 0
+        assert results_to_json([adaptive]) == results_to_json([fixed])
+
+
 class TestCopysignDrift:
     def test_drifted_sign_source_matches_fixed(self):
         # Regression: copysign must not drop its *sign* operand's

@@ -5,7 +5,21 @@ reports are byte-identical to the sequential per-point loop for every
 lane pattern — uniform batches, divergent branches splitting the lanes
 into sub-batches, loop programs falling back entirely, and the
 degenerate one-lane batch.
+
+The fused binary/unary column closures loop the lanes themselves, so
+their operand columns concentrate on the adversarial geography:
+subnormals, signed zeros, infinities, NaN, near-overflow magnitudes,
+the Dekker splitting limit, the deep-underflow guard band, division by
+zero, negative square roots, exact cancellations, and wide
+double-double pairs (operands that are themselves sums, so the kernel
+sees a non-zero ``lo``).  Outputs are compared on their raw IEEE
+encodings, which distinguish ``-0.0`` from ``0.0`` and one NaN from
+another.
 """
+
+import math
+import random
+import struct
 
 import pytest
 
@@ -31,6 +45,38 @@ LOOP = parse_fpcore(
     "([i 0.0 (+ i 1.0)] [acc x (+ acc x)]) acc))"
 )
 
+POLICIES = ["fixed", "adaptive"]
+
+SPECIALS = [
+    0.0, -0.0, 1.0, -1.0, 1.5, -2.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.ldexp(1.0, 970), math.ldexp(1.0, -960), math.ldexp(1.0, -970),
+    math.ldexp(1.0, 1023), math.ldexp(1.0, -1060), 1e16, 1.0 + 2 ** -52,
+]
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def operand(rng: random.Random) -> float:
+    """One lane value: a special, a full-range double, or a mid-range one."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return rng.choice(SPECIALS)
+    if shape == 1:
+        value = math.ldexp(rng.random() + 0.5, rng.randint(-1074, 1023))
+    else:
+        value = math.ldexp(rng.random() + 0.5, rng.randint(-340, 340))
+    return -value if rng.random() < 0.5 else value
+
+
+def wide_pair(rng: random.Random):
+    """Inputs ``(h, l)`` whose sum is a double-double with ``lo != 0``."""
+    h = math.ldexp(rng.random() + 0.5, rng.randint(-340, 340))
+    h = -h if rng.random() < 0.5 else h
+    return h, math.ldexp(rng.random() - 0.5, math.frexp(h)[1] - 54)
+
 
 def signature(analysis):
     """Every externally observable per-site statistic."""
@@ -53,8 +99,8 @@ def signature(analysis):
     return rows
 
 
-def run_both(core, points, policy="adaptive"):
-    config = AnalysisConfig(precision_policy=policy)
+def run_both(core, points, policy="adaptive", hw_tier=None):
+    config = AnalysisConfig(precision_policy=policy, hw_tier=hw_tier)
     program = compile_fpcore(core)
     batched, out_b = analyze_program(
         program, points, config=config, features=BATCHED
@@ -62,21 +108,36 @@ def run_both(core, points, policy="adaptive"):
     sequential, out_s = analyze_program(
         program, points, config=config, features=SEQUENTIAL
     )
-    assert out_b == out_s
+    assert len(out_b) == len(out_s) == len(points)
+    for lane, (row_b, row_s) in enumerate(zip(out_b, out_s)):
+        assert [bits(v) for v in row_b] == [bits(v) for v in row_s], \
+            (lane, points[lane])
     assert batched.runs == sequential.runs == len(points)
     assert signature(batched) == signature(sequential)
+    assert batched.tier_residency() == sequential.tier_residency()
     return batched
 
 
+def run_columns(source, points, policy):
+    """``run_both`` on a straight-line program that must batch every lane.
+
+    The hardware tier is pinned on, whatever ``REPRO_HWTIER`` says, so
+    the adaptive columns always reach the double-double kernels.
+    """
+    analysis = run_both(parse_fpcore(source), points, policy, hw_tier=True)
+    assert analysis.batched_lanes == len(points)
+    return analysis
+
+
 class TestLockstepParity:
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_uniform_batch_single_group(self, policy):
         points = [[1e16, 1.5], [2e16, 2.5], [3.0, 4.0], [5.0, 0.5]]
         analysis = run_both(STRAIGHT, points, policy)
         assert analysis.batched_groups == 1
         assert analysis.batched_lanes == 4
 
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_divergent_lanes_split_into_groups(self, policy):
         # Signatures T F T T F: maximal *consecutive* runs give four
         # sub-batches ([0], [1], [2,3], [4]) — never a reordering.
@@ -111,6 +172,64 @@ class TestLockstepParity:
     def test_single_point_uses_sequential_path(self):
         analysis = run_both(STRAIGHT, [[1e16, 1.5]])
         assert analysis.batched_groups == 0
+
+
+class TestColumnParity:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("op", ["*", "+", "-", "/"])
+    def test_binary_fuzz(self, op, policy):
+        # Leaf operands, whose results are the program's outputs, then
+        # double-double operands, so the kernel sees wide pairs too.
+        rng = random.Random(0x1A0E5 + ord(op[0]))
+        leaves = [[operand(rng), operand(rng)] for _ in range(64)]
+        run_columns(f"(FPCore (x y) ({op} x y))", leaves, policy)
+        pairs = [wide_pair(rng) + wide_pair(rng) for _ in range(48)]
+        analysis = run_columns(
+            f"(FPCore (a b c d) ({op} (+ a b) (+ c d)))", pairs, policy
+        )
+        if policy == "adaptive":
+            assert analysis.hw_kernel_ops > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cancellation_lanes(self, policy):
+        # x + (-x) on wide pairs, with the negated low part present in
+        # half the lanes: the exact path must be reproduced per lane.
+        rng = random.Random(0x1A0F0)
+        points = []
+        for _ in range(48):
+            h, l = wide_pair(rng)
+            points.append([h, l, -l if rng.random() < 0.5 else 0.0])
+        source = "(FPCore (h l m) (+ (+ h l) (- (- h) m)))"
+        run_columns(source, points, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_division_by_zero_lanes(self, policy):
+        dividends = [1.0, -1.0, 0.0, -0.0, math.nan, math.inf, 2.0, 3.0]
+        divisors = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 1.0]
+        points = [[a, b] for a, b in zip(dividends, divisors)]
+        run_columns("(FPCore (x y) (/ x y))", points, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("op", ["fabs", "neg", "sqrt"])
+    def test_unary_fuzz(self, op, policy):
+        rng = random.Random(0x1A120 + ord(op[0]))
+        call = "-" if op == "neg" else op
+        leaves = [[operand(rng)] for _ in range(64)]
+        run_columns(f"(FPCore (x) ({call} x))", leaves, policy)
+        pairs = []
+        for _ in range(48):
+            a, b = wide_pair(rng)
+            pairs.append([abs(a), b])
+        analysis = run_columns(
+            f"(FPCore (a b) ({call} (+ a b)))", pairs, policy
+        )
+        if policy == "adaptive":
+            assert analysis.hw_kernel_ops > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_negative_sqrt_lanes(self, policy):
+        values = [-1.0, 4.0, -0.0, 0.0, -math.inf, math.inf, 2.0, -4.0]
+        run_columns("(FPCore (x) (sqrt x))", [[v] for v in values], policy)
 
 
 class TestStaticEligibility:

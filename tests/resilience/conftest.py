@@ -43,6 +43,15 @@ def _no_fault_leaks():
 
 
 @pytest.fixture()
+def full_stack(monkeypatch):
+    """Clear the layer-off toggles (``REPRO_HWTIER=0``,
+    ``REPRO_BATCHED=0``) that CI suite legs set, for tests whose
+    assertions name the ladder's rungs from the top of the stack."""
+    monkeypatch.delenv("REPRO_HWTIER", raising=False)
+    monkeypatch.delenv("REPRO_BATCHED", raising=False)
+
+
+@pytest.fixture()
 def harness_factory():
     """Build server harnesses that are always stopped at test exit."""
     created = []

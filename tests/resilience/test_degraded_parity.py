@@ -39,6 +39,7 @@ def _corpus_json(points=2, seed=13, degrade=None, **config_fields):
     return results_to_json(results), results
 
 
+@pytest.mark.usefixtures("full_stack")
 class TestEngineFaultParity:
     def test_compiled_engine_fault_converges_byte_identical(self):
         clean, __ = _corpus_json(engine="compiled")
@@ -73,6 +74,7 @@ class TestKernelFaultParity:
                 RUNG_PYTHON_SUBSTRATE
 
 
+@pytest.mark.usefixtures("full_stack")
 class TestPolicyFaultParity:
     def test_hw_tier_fault_lands_on_working_tier_rung(self):
         clean, __ = _corpus_json(

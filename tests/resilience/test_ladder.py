@@ -43,6 +43,7 @@ class TestClassify:
         assert classify(KeyboardInterrupt()) is None
 
 
+@pytest.mark.usefixtures("full_stack")
 class TestPlanning:
     def test_full_ladder_from_the_top(self):
         request = _request(engine="compiled", substrate="native",
@@ -141,6 +142,7 @@ class _Recorder:
         return RUNG_FIXED_POLICY
 
 
+@pytest.mark.usefixtures("full_stack")
 class TestDriver:
     def test_success_needs_no_ladder(self):
         execute = _Recorder({})

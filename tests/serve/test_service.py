@@ -246,7 +246,7 @@ class TestStats:
 
     def test_stats_aggregate_hw_tier_residency(self):
         config = AnalysisConfig(
-            shadow_precision=96, precision_policy="adaptive"
+            shadow_precision=96, precision_policy="adaptive", hw_tier=True
         )
         session = AnalysisSession(config=config, num_points=3)
         request = session.request(CLEAN)
