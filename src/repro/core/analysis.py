@@ -87,7 +87,7 @@ _DEADLINE_CHECK_MASK = 255
 
 
 #: Double-double kernels by operation (the generic analysis path);
-#: the fused/batched closures resolve from the same tables per site.
+#: the per-lane steps resolve from the same tables per site.
 _DD_UNARY = {"sqrt": dd_sqrt, "neg": dd_neg, "fabs": dd_abs}
 _DD_GENERIC = dict(DD_KERNELS)
 _DD_GENERIC.update(_DD_UNARY)
@@ -478,22 +478,14 @@ class HerbgrindAnalysis(Tracer):
     def _shadow(self, box: FloatBox) -> ShadowValue:
         shadow = box.shadow
         if shadow is None:
-            pool = self.pool
-            leaf = (
-                pool.opaque_ident(box.value) if pool is not None
-                else trace_mod.opaque_leaf(box.value)
-            )
-            shadow = ShadowValue(
-                self._leaf_real(box.value), leaf, EMPTY_INFLUENCES
-            )
-            box.shadow = shadow
+            shadow = box.shadow = self._opaque_shadow_value(box.value)
         return shadow
 
     def _opaque_shadow_value(self, value: float) -> ShadowValue:
-        """The unboxed mirror of :meth:`_shadow`'s miss path: an opaque
-        leaf for a float that reached the analysis without a shadow
-        (batched columns store the shadow next to the value instead of
-        on a box, so the lazy fill-in happens in the column)."""
+        """An opaque leaf for a float that reached the analysis without
+        a shadow: :meth:`_shadow`'s miss path, and the column adapters'
+        lazy fill-in (batched columns store the shadow next to the
+        value instead of on a box)."""
         pool = self.pool
         leaf = (
             pool.opaque_ident(value) if pool is not None
@@ -905,26 +897,24 @@ class HerbgrindAnalysis(Tracer):
         result.shadow = result_shadow
 
     # ------------------------------------------------------------------
-    # The site-compiled fused pipeline (the compiled engine's per-op
-    # hot path): one closure per (site, config), built at program
-    # compile time, updating flat per-site state in a single pass.
+    # The per-lane analysis step: the stage sequence above, specialized
+    # once per (site, config) for the compiled and batched engines.
+    # The ⟦f⟧_R kernel and ⟦f⟧_F handler are pre-resolved, the record
+    # and its tables are bound after their lazy creation, policy flags
+    # are constants, and traces stay integer idents end to end.  A step
+    # takes the argument shadows, the argument machine values and the
+    # machine result, and returns the result shadow; the box adapters
+    # (``fused_*``) and the column adapters (``batch_*``) below only
+    # differ in where those come from and where the shadow goes.
     # ------------------------------------------------------------------
 
-    def fused_site_callback(self, instr: isa.Instr, op: str, arity: int,
-                            single: bool = False):
-        """A per-site fused analysis callback, or None for the generic path.
-
-        The compiled engine calls this once per instruction at compile
-        time; the returned closure replaces the ``on_op``/``on_library``
-        dispatch for that site.  The closure mirrors
-        :meth:`_analyse_operation` decision-for-decision — the
-        engine-parity suite enforces byte-identical reports — with the
-        per-op costs paid once per site instead: the ⟦f⟧_R kernel and
-        ⟦f⟧_F handler are pre-resolved, the record and its tables are
-        bound after their lazy creation, policy flags are constants,
-        and traces stay integer idents end to end.
+    def _site_step(self, instr: isa.Instr, op: str, arity: int,
+                   single: bool):
+        """The per-lane analysis step of one operation site, or None
+        when the site needs the generic :meth:`_analyse_operation`
+        (arity outside 1-2, or an operation unknown to ⟦f⟧_R or ⟦f⟧_F).
         """
-        if not self._fused or arity not in (1, 2):
+        if arity not in (1, 2):
             return None
         try:
             kernel = self.backend.handler(op)
@@ -937,33 +927,13 @@ class HerbgrindAnalysis(Tracer):
         # when the substrate serves this op through the stock python
         # dispatch; otherwise the wrapped handler.
         kernel2 = self.backend.positional_handler(op, arity)
-        if arity == 2:
-            callback = self._build_fused_binary(
-                instr, op, kernel, kernel2, fn_double, single
-            )
-        else:
-            callback = self._build_fused_unary(
-                instr, op, kernel, kernel2, fn_double, single
-            )
-        guard = self._guard
-        if guard is not None and callback is not None:
-            # Budgeted analyses wrap each fused closure with the guard
-            # tick at compile time; unguarded analyses (the common
-            # case) keep the raw closure — zero added cost per op.
-            tick = guard.tick
-            inner = callback
-            if arity == 2:
-                def callback(a, b, result):  # noqa: F811 — guarded shim
-                    tick()
-                    return inner(a, b, result)
-            else:
-                def callback(a, result):  # noqa: F811 — guarded shim
-                    tick()
-                    return inner(a, result)
-        return callback
+        build = self._binary_step if arity == 2 else self._unary_step
+        return build(instr, op, kernel, kernel2, fn_double, single)
 
-    def _build_fused_binary(self, instr, op, kernel, kernel2,
-                            fn_double, single):
+    def _binary_step(self, instr, op, kernel, kernel2, fn_double, single):
+        """``step(sa, sb, av, bv, value) -> ShadowValue`` for a binary
+        site; mirrors :meth:`_analyse_operation` decision-for-decision
+        (the engine-parity suite enforces byte-identical reports)."""
         config = self.config
         pool = self.pool
         site = id(instr)
@@ -1000,7 +970,6 @@ class HerbgrindAnalysis(Tracer):
         new_op = pool.new_op
         raw = kernel2 is not None
         empty = EMPTY_INFLUENCES
-        shadow_of = self._shadow
         rounded_of = self._rounded
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
@@ -1010,14 +979,8 @@ class HerbgrindAnalysis(Tracer):
         total_record = None
         prob_record = None
 
-        def run(a, b, result):
+        def step(sa, sb, av, bv, value):
             nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            sa = a.shadow
-            if sa is None:
-                sa = shadow_of(a)
-            sb = b.shadow
-            if sb is None:
-                sb = shadow_of(b)
             ta = sa.trace
             tb = sb.trace
             # --- kernel stage -----------------------------------------
@@ -1067,7 +1030,6 @@ class HerbgrindAnalysis(Tracer):
                 total_record = record.total_inputs.record_many
                 prob_record = record.problematic_inputs.record_many
             # --- trace stage ------------------------------------------
-            value = result.value
             node_key = (site, ta, tb)
             node = ops_table.get(node_key)
             if node is None:
@@ -1100,7 +1062,7 @@ class HerbgrindAnalysis(Tracer):
             else:
                 exact_rounded = real.to_float()
                 shadow.rounded = exact_rounded
-            if shortcut and ra == a.value and rb == b.value \
+            if shortcut and ra == av and rb == bv \
                     and ra != 0.0 and rb != 0.0:
                 float_result = value
             else:
@@ -1119,7 +1081,7 @@ class HerbgrindAnalysis(Tracer):
             if compensating:
                 if escalates:
                     passthrough = self._compensation_passthrough(
-                        op, (sa, sb), shadow, (a.value, b.value), value
+                        op, (sa, sb), shadow, (av, bv), value
                     )
                 elif real.is_finite():
                     # The fixed-policy compensation test, inlined: the
@@ -1132,12 +1094,12 @@ class HerbgrindAnalysis(Tracer):
                     ea = sa.total_error
                     if ea is None:
                         ea = sa.total_error = (
-                            0.0 if a.value == ra else err_of(a.value, ra)
+                            0.0 if av == ra else err_of(av, ra)
                         )
                     eb = sb.total_error
                     if eb is None:
                         eb = sb.total_error = (
-                            0.0 if b.value == rb else err_of(b.value, rb)
+                            0.0 if bv == rb else err_of(bv, rb)
                         )
                     if ea > 0.0 or eb > 0.0:
                         out_error = shadow.total_error
@@ -1202,11 +1164,12 @@ class HerbgrindAnalysis(Tracer):
                     else:
                         counters.working_tier_ops += 1
             shadow.influences = influences
-            result.shadow = shadow
-        return run
+            return shadow
+        return step
 
-    def _build_fused_unary(self, instr, op, kernel, kernel2,
-                           fn_double, single):
+    def _unary_step(self, instr, op, kernel, kernel2, fn_double, single):
+        """``step(sa, av, value) -> ShadowValue`` for a unary site (see
+        :meth:`_binary_step`)."""
         config = self.config
         pool = self.pool
         site = id(instr)
@@ -1235,7 +1198,6 @@ class HerbgrindAnalysis(Tracer):
         new_op = pool.new_op
         raw = kernel2 is not None
         empty = EMPTY_INFLUENCES
-        shadow_of = self._shadow
         rounded_of = self._rounded
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
@@ -1245,11 +1207,8 @@ class HerbgrindAnalysis(Tracer):
         total_record = None
         prob_record = None
 
-        def run(a, result):
+        def step(sa, av, value):
             nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            sa = a.shadow
-            if sa is None:
-                sa = shadow_of(a)
             ta = sa.trace
             # --- kernel stage -----------------------------------------
             real = None
@@ -1292,7 +1251,6 @@ class HerbgrindAnalysis(Tracer):
                 total_record = record.total_inputs.record_many
                 prob_record = record.problematic_inputs.record_many
             # --- trace stage ------------------------------------------
-            value = result.value
             node_key = (site, ta)
             node = ops_table.get(node_key)
             if node is None:
@@ -1317,7 +1275,7 @@ class HerbgrindAnalysis(Tracer):
             else:
                 exact_rounded = real.to_float()
                 shadow.rounded = exact_rounded
-            if shortcut and ra == a.value and ra != 0.0:
+            if shortcut and ra == av and ra != 0.0:
                 float_result = value
             else:
                 float_result = fn_double(ra)
@@ -1364,8 +1322,98 @@ class HerbgrindAnalysis(Tracer):
                     else:
                         counters.working_tier_ops += 1
             shadow.influences = influences
-            result.shadow = shadow
-        return run
+            return shadow
+        return step
+
+    def _branch_step(self, instr: isa.Branch):
+        """``step(left, right, taken)`` updating one branch spot from
+        its operand shadows (the per-lane mirror of :meth:`on_branch`),
+        or None for an unknown predicate (the generic path reports it).
+        """
+        try:
+            nan_result = instr.pred == "ne"
+            comparer = _BIG_PREDICATES[instr.pred]
+        except KeyError:
+            return None
+        escalates = self._escalates
+        track = self.config.track_influences
+        record = None
+
+        def step(left, right, taken):
+            nonlocal record
+            if record is None:
+                record = self._spot_record(instr, SPOT_BRANCH)
+            if escalates:
+                left_real, right_real = self._comparable(left, right)
+            else:
+                left_real = left.real
+                right_real = right.real
+            if left_real.is_nan() or right_real.is_nan():
+                real_taken = nan_result
+            else:
+                real_taken = comparer(left_real, right_real)
+            # record.record(...), inlined (per-iteration hot path).
+            record.executions += 1
+            if real_taken != taken:
+                record.sum_error += 1.0
+                if record.max_error < 1.0:
+                    record.max_error = 1.0
+                record.erroneous += 1
+                if track:
+                    record.influences |= left.influences | right.influences
+        return step
+
+    # ------------------------------------------------------------------
+    # Box adapters (the compiled engine): one closure per site resolving
+    # the argument boxes' shadows lazily and storing the step's result
+    # shadow on the result box.
+    # ------------------------------------------------------------------
+
+    def fused_site_callback(self, instr: isa.Instr, op: str, arity: int,
+                            single: bool = False):
+        """A per-site fused analysis callback, or None for the generic path.
+
+        The compiled engine calls this once per instruction at compile
+        time; the returned closure replaces the ``on_op``/``on_library``
+        dispatch for that site with the site's per-lane step.
+        """
+        if not self._fused:
+            return None
+        step = self._site_step(instr, op, arity, single)
+        if step is None:
+            return None
+        shadow_of = self._shadow
+        if arity == 2:
+            def callback(a, b, result):
+                sa = a.shadow
+                if sa is None:
+                    sa = shadow_of(a)
+                sb = b.shadow
+                if sb is None:
+                    sb = shadow_of(b)
+                result.shadow = step(sa, sb, a.value, b.value, result.value)
+        else:
+            def callback(a, result):
+                sa = a.shadow
+                if sa is None:
+                    sa = shadow_of(a)
+                result.shadow = step(sa, a.value, result.value)
+        guard = self._guard
+        if guard is not None:
+            # Budgeted analyses wrap each fused closure with the guard
+            # tick at compile time; unguarded analyses (the common
+            # case) keep the raw closure — zero added cost per op.
+            tick = guard.tick
+            inner = callback
+            if arity == 2:
+                def callback(a, b, result):  # noqa: F811 — guarded shim
+                    tick()
+                    return inner(a, b, result)
+            else:
+                def callback(a, result):  # noqa: F811 — guarded shim
+                    tick()
+                    return inner(a, result)
+        return callback
 
     def fused_const_callback(self, instr: isa.Instr):
         """A per-site constant-shadow callback (see ``on_const``).
@@ -1421,55 +1469,29 @@ class HerbgrindAnalysis(Tracer):
         """A per-site branch-spot callback (see ``on_branch``)."""
         if not self._fused:
             return None
-        try:
-            nan_result = instr.pred == "ne"
-            comparer = _BIG_PREDICATES[instr.pred]
-        except KeyError:
-            return None  # unknown predicate: generic path reports it
-        escalates = self._escalates
-        track = self.config.track_influences
+        step = self._branch_step(instr)
+        if step is None:
+            return None
         shadow_of = self._shadow
-        record = None
 
         def run(lhs, rhs, taken):
-            nonlocal record
             left = lhs.shadow
             if left is None:
                 left = shadow_of(lhs)
             right = rhs.shadow
             if right is None:
                 right = shadow_of(rhs)
-            if record is None:
-                record = self._spot_record(instr, SPOT_BRANCH)
-            if escalates:
-                left_real, right_real = self._comparable(left, right)
-            else:
-                left_real = left.real
-                right_real = right.real
-            if left_real.is_nan() or right_real.is_nan():
-                real_taken = nan_result
-            else:
-                real_taken = comparer(left_real, right_real)
-            # record.record(...), inlined (per-iteration hot path).
-            record.executions += 1
-            if real_taken != taken:
-                record.sum_error += 1.0
-                if record.max_error < 1.0:
-                    record.max_error = 1.0
-                record.erroneous += 1
-                if track:
-                    record.influences |= left.influences | right.influences
+            step(left, right, taken)
         return run
 
     # ------------------------------------------------------------------
-    # Batched column callbacks (the batched engine's per-site hot path):
-    # the fused pipeline's per-lane loops, amortizing the per-site setup
-    # — record lookup, kernel resolution, policy flags, table probes —
-    # across every lane of a uniform sub-batch.  Lanes are processed in
-    # ascending order inside every closure; combined with the engine's
-    # revisit-free instruction gate this makes the per-record event
-    # order identical to the sequential loop, which is what keeps the
-    # batched reports byte-identical.
+    # Column adapters (the batched engine): the per-lane steps looped
+    # over the SoA columns of a uniform sub-batch, amortizing the
+    # per-site setup across every lane.  Lanes are processed in
+    # ascending order; combined with the engine's revisit-free
+    # instruction gate this makes the per-record event order identical
+    # to the sequential loop, which is what keeps the batched reports
+    # byte-identical.
     # ------------------------------------------------------------------
 
     def batch_site_callback(self, instr: isa.Instr, op: str, arity: int,
@@ -1477,323 +1499,44 @@ class HerbgrindAnalysis(Tracer):
         """A per-site batch analysis callback, or None for the per-lane
         path (see :meth:`Tracer.batch_site_callback`).
 
-        Unlike the fused sequential callbacks, the batch closures also
-        compute the *machine* result per lane (through ``machine_fn``,
-        the engine's ⟦f⟧_F handler for this site) so the engine never
-        boxes a float on the batched hot path.
+        Unlike the box adapters, the column adapter also computes the
+        *machine* result per lane (through ``machine_fn``, the engine's
+        ⟦f⟧_F handler for this site) so the engine never boxes a float
+        on the batched hot path.  A lane whose argument reached the
+        analysis without a shadow gets its opaque leaf written back
+        into the column, so later consumers share it (the unboxed
+        mirror of the box-shadow sharing in the sequential path).
         """
-        if not self._batched or arity not in (1, 2) or machine_fn is None:
+        if not self._batched or machine_fn is None:
             return None
-        try:
-            kernel = self.backend.handler(op)
-        except KeyError:
-            return None  # unknown to ⟦f⟧_R: the per-lane opaque path
-        fn_double = DOUBLE_HANDLERS.get(op)
-        if fn_double is None:
+        step = self._site_step(instr, op, arity, single)
+        if step is None:
             return None
-        kernel2 = self.backend.positional_handler(op, arity)
+        opaque_of = self._opaque_shadow_value
+        narrow = to_single
         if arity == 2:
-            return self._build_batch_binary(
-                instr, op, kernel, kernel2, fn_double, single, machine_fn
-            )
-        return self._build_batch_unary(
-            instr, op, kernel, kernel2, fn_double, single, machine_fn
-        )
-
-    def _build_batch_binary(self, instr, op, kernel, kernel2,
-                            fn_double, single, machine_fn):
-        config = self.config
-        pool = self.pool
-        site = id(instr)
-        loc = getattr(instr, "loc", None)
-        context = self.context
-        escalates = self._escalates
-        policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
-        compensating = config.detect_compensation and op in ("+", "-")
-        is_sub = op == "-"
-        threshold = config.local_error_threshold
-        track = config.track_influences
-        counters = self.stage_counters if self._profile else None
-        hw = self._hw
-        dd_kernel = DD_KERNELS.get(op) if hw else None
-        propagate_hw = policy.propagate_hw if hw else None
-        promote = self._promote_shadow
-        DD = DoubleDouble
-        shortcut = (
-            not single
-            and self.backend.double_handlers.get(op) is fn_double
-        )
-        ops_table = pool._ops_table
-        new_op = pool.new_op
-        raw = kernel2 is not None
-        empty = EMPTY_INFLUENCES
-        opaque_of = self._opaque_shadow_value
-        rounded_of = self._rounded
-        new_shadow = ShadowValue
-        err_of = bits_of_error_fast
-        narrow = to_single
-        record = None
-        fast_walk = None
-        bail_walk = None
-        total_record = None
-        prob_record = None
-
-        def run(avals, ashads, bvals, bshads):
-            nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            if record is None:
-                record = self._op_record(instr, op)
-                generalization = record.generalization
-                fast_walk = generalization._fast_update_pooled
-                bail_walk = generalization.bail_update_pooled
-                total_record = record.total_inputs.record_many
-                prob_record = record.problematic_inputs.record_many
-            n = len(avals)
-            rvals = [0.0] * n
-            rshads = [None] * n
-            for i in range(n):
-                av = avals[i]
-                bv = bvals[i]
-                sa = ashads[i]
-                if sa is None:
-                    # Lazy opaque fill-in, written back into the column
-                    # so later consumers share it (the unboxed mirror
-                    # of the box-shadow sharing in the sequential path).
-                    sa = ashads[i] = opaque_of(av)
-                sb = bshads[i]
-                if sb is None:
-                    sb = bshads[i] = opaque_of(bv)
-                value = machine_fn(av, bv)
-                if single:
-                    value = narrow(value)
-                rvals[i] = value
-                ta = sa.trace
-                tb = sb.trace
-                # --- kernel stage -------------------------------------
-                real = None
-                exact_op = False
-                if hw:
-                    xa = sa.real
-                    xb = sb.real
-                    if type(xa) is DD and type(xb) is DD:
-                        if dd_kernel is not None:
-                            dd = dd_kernel(xa.hi, xa.lo, xb.hi, xb.lo)
-                            if dd is not None:
-                                real = DD(dd[0], dd[1])
-                                exact_op = dd[2]
-                                self.hw_kernel_ops += 1
-                        if real is None:
-                            promote(sa)
-                            promote(sb)
-                            self.hw_promotions += 1
-                    elif type(xa) is DD or type(xb) is DD:
-                        promote(sa)
-                        promote(sb)
-                        self.hw_promotions += 1
-                if real is not None:
-                    pass
-                elif cache is not None:
-                    key = (op, ta, tb)
-                    real = cache.get(key)
-                    if real is None:
-                        real = (
-                            kernel2(sa.real, sb.real, context) if raw
-                            else kernel((sa.real, sb.real), context)
-                        )
-                        cache[key] = real
-                        self.kernel_cache_misses += 1
-                    else:
-                        self.kernel_cache_hits += 1
-                elif raw:
-                    real = kernel2(sa.real, sb.real, context)
-                else:
-                    real = kernel((sa.real, sb.real), context)
-                # --- trace stage --------------------------------------
-                node_key = (site, ta, tb)
-                node = ops_table.get(node_key)
-                if node is None:
-                    node = new_op(node_key, op, (ta, tb), value, loc)
-                if not escalates:
-                    drift = EXACT
-                elif is_sub and ta == tb:
-                    drift = EXACT
-                elif type(real) is DD:
-                    drift = propagate_hw(
-                        op, (sa.real, sb.real), (sa.drift, sb.drift),
-                        real, exact_op,
-                    )
-                else:
-                    drift = policy.propagate(
-                        op, [sa.real, sb.real], [sa.drift, sb.drift], real
-                    )
-                shadow = new_shadow(real, node, empty, drift)
-                # --- error stage --------------------------------------
-                ra = sa.rounded
-                if ra is None:
-                    ra = rounded_of(sa)
-                rb = sb.rounded
-                if rb is None:
-                    rb = rounded_of(sb)
-                if escalates:
-                    exact_rounded = rounded_of(shadow)
-                else:
-                    exact_rounded = real.to_float()
-                    shadow.rounded = exact_rounded
-                if shortcut and ra == av and rb == bv \
-                        and ra != 0.0 and rb != 0.0:
-                    float_result = value
-                else:
-                    float_result = fn_double(ra, rb)
-                if float_result == exact_rounded:
-                    error_bits = 0.0
-                else:
-                    error_bits = err_of(float_result, exact_rounded)
-                record.executions += 1
-                record.sum_local_error += error_bits
-                if error_bits > record.max_local_error:
-                    record.max_local_error = error_bits
-                is_candidate = error_bits > threshold
-                # --- influence stage ----------------------------------
-                passthrough = None
-                if compensating:
-                    if escalates:
-                        passthrough = self._compensation_passthrough(
-                            op, (sa, sb), shadow, (av, bv), value
-                        )
-                    elif real.is_finite():
-                        ea = sa.total_error
-                        if ea is None:
-                            ea = sa.total_error = (
-                                0.0 if av == ra else err_of(av, ra)
-                            )
-                        eb = sb.total_error
-                        if eb is None:
-                            eb = sb.total_error = (
-                                0.0 if bv == rb else err_of(bv, rb)
-                            )
-                        if ea > 0.0 or eb > 0.0:
-                            out_error = shadow.total_error
-                            if out_error is None:
-                                out_error = shadow.total_error = (
-                                    0.0 if value == exact_rounded
-                                    else err_of(value, exact_rounded)
-                                )
-                            if out_error < ea:
-                                candidate = sa.real
-                                if candidate.is_finite() \
-                                        and candidate == real:
-                                    passthrough = 0
-                            if passthrough is None and out_error < eb:
-                                candidate = sb.real
-                                if is_sub:
-                                    candidate = candidate.neg()
-                                if candidate.is_finite() \
-                                        and candidate == real:
-                                    passthrough = 1
-                if passthrough is not None:
-                    record.compensations_detected += 1
-                    influences = (sa if passthrough == 0 else sb).influences
-                else:
-                    ia = sa.influences
-                    ib = sb.influences
-                    if ia:
-                        influences = (ia | ib) if ib else ia
-                    elif ib:
-                        influences = ib
-                    else:
-                        influences = empty
-                    if is_candidate and track:
-                        influences = influences | {record}
-                # --- expression + characteristics stage ---------------
-                generalization = record.generalization
-                if generalization.expression is not None:
-                    bindings = fast_walk(pool, node)
-                else:
-                    bindings = None
-                if bindings is None:
-                    __, bindings = bail_walk(pool, node)
-                record.pending_trace = node
-                total_record(bindings)
-                if is_candidate and passthrough is None:
-                    prob_record(bindings)
-                    if record.example_problematic is None and bindings:
-                        record.example_problematic = dict(bindings)
-                    record.candidate_executions += 1
-                if counters is not None:
-                    counters.fused_ops += 1
-                    counters.kernel_evals += 1
-                    counters.trace_interned += 1
-                    if error_bits == 0.0:
-                        counters.error_fast += 1
-                    else:
-                        counters.error_exact += 1
-                    if compensating:
-                        counters.compensation_checks += 1
-                    counters.characteristic_updates += len(bindings)
-                    if hw:
-                        if type(real) is DD:
-                            counters.hw_tier_ops += 1
-                        else:
-                            counters.working_tier_ops += 1
-                shadow.influences = influences
-                rshads[i] = shadow
-            return rvals, rshads
-        return run
-
-    def _build_batch_unary(self, instr, op, kernel, kernel2,
-                           fn_double, single, machine_fn):
-        config = self.config
-        pool = self.pool
-        site = id(instr)
-        loc = getattr(instr, "loc", None)
-        context = self.context
-        escalates = self._escalates
-        policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
-        threshold = config.local_error_threshold
-        track = config.track_influences
-        counters = self.stage_counters if self._profile else None
-        hw = self._hw
-        dd_kernel = _DD_UNARY.get(op) if hw else None
-        propagate_hw = policy.propagate_hw if hw else None
-        promote = self._promote_shadow
-        DD = DoubleDouble
-        shortcut = (
-            not single
-            and self.backend.double_handlers.get(op) is fn_double
-        )
-        ops_table = pool._ops_table
-        new_op = pool.new_op
-        raw = kernel2 is not None
-        empty = EMPTY_INFLUENCES
-        opaque_of = self._opaque_shadow_value
-        rounded_of = self._rounded
-        new_shadow = ShadowValue
-        err_of = bits_of_error_fast
-        narrow = to_single
-        record = None
-        fast_walk = None
-        bail_walk = None
-        total_record = None
-        prob_record = None
+            def run(avals, ashads, bvals, bshads):
+                n = len(avals)
+                rvals = [0.0] * n
+                rshads = [None] * n
+                for i in range(n):
+                    av = avals[i]
+                    bv = bvals[i]
+                    sa = ashads[i]
+                    if sa is None:
+                        sa = ashads[i] = opaque_of(av)
+                    sb = bshads[i]
+                    if sb is None:
+                        sb = bshads[i] = opaque_of(bv)
+                    value = machine_fn(av, bv)
+                    if single:
+                        value = narrow(value)
+                    rvals[i] = value
+                    rshads[i] = step(sa, sb, av, bv, value)
+                return rvals, rshads
+            return run
 
         def run(avals, ashads):
-            nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            if record is None:
-                record = self._op_record(instr, op)
-                generalization = record.generalization
-                fast_walk = generalization._fast_update_pooled
-                bail_walk = generalization.bail_update_pooled
-                total_record = record.total_inputs.record_many
-                prob_record = record.problematic_inputs.record_many
             n = len(avals)
             rvals = [0.0] * n
             rshads = [None] * n
@@ -1806,165 +1549,32 @@ class HerbgrindAnalysis(Tracer):
                 if single:
                     value = narrow(value)
                 rvals[i] = value
-                ta = sa.trace
-                # --- kernel stage -------------------------------------
-                real = None
-                exact_op = False
-                if hw:
-                    xa = sa.real
-                    if type(xa) is DD:
-                        if dd_kernel is not None:
-                            dd = dd_kernel(xa.hi, xa.lo)
-                            if dd is not None:
-                                real = DD(dd[0], dd[1])
-                                exact_op = dd[2]
-                                self.hw_kernel_ops += 1
-                        if real is None:
-                            promote(sa)
-                            self.hw_promotions += 1
-                if real is not None:
-                    pass
-                elif cache is not None:
-                    key = (op, ta)
-                    real = cache.get(key)
-                    if real is None:
-                        real = (
-                            kernel2(sa.real, context) if raw
-                            else kernel((sa.real,), context)
-                        )
-                        cache[key] = real
-                        self.kernel_cache_misses += 1
-                    else:
-                        self.kernel_cache_hits += 1
-                elif raw:
-                    real = kernel2(sa.real, context)
-                else:
-                    real = kernel((sa.real,), context)
-                # --- trace stage --------------------------------------
-                node_key = (site, ta)
-                node = ops_table.get(node_key)
-                if node is None:
-                    node = new_op(node_key, op, (ta,), value, loc)
-                if not escalates:
-                    drift = EXACT
-                elif type(real) is DD:
-                    drift = propagate_hw(
-                        op, (sa.real,), (sa.drift,), real, exact_op
-                    )
-                else:
-                    drift = policy.propagate(
-                        op, [sa.real], [sa.drift], real
-                    )
-                shadow = new_shadow(real, node, empty, drift)
-                # --- error stage --------------------------------------
-                ra = sa.rounded
-                if ra is None:
-                    ra = rounded_of(sa)
-                if escalates:
-                    exact_rounded = rounded_of(shadow)
-                else:
-                    exact_rounded = real.to_float()
-                    shadow.rounded = exact_rounded
-                if shortcut and ra == av and ra != 0.0:
-                    float_result = value
-                else:
-                    float_result = fn_double(ra)
-                if float_result == exact_rounded:
-                    error_bits = 0.0
-                else:
-                    error_bits = err_of(float_result, exact_rounded)
-                record.executions += 1
-                record.sum_local_error += error_bits
-                if error_bits > record.max_local_error:
-                    record.max_local_error = error_bits
-                is_candidate = error_bits > threshold
-                # --- influence stage ----------------------------------
-                influences = sa.influences
-                if is_candidate and track:
-                    influences = influences | {record}
-                # --- expression + characteristics stage ---------------
-                generalization = record.generalization
-                if generalization.expression is not None:
-                    bindings = fast_walk(pool, node)
-                else:
-                    bindings = None
-                if bindings is None:
-                    __, bindings = bail_walk(pool, node)
-                record.pending_trace = node
-                total_record(bindings)
-                if is_candidate:
-                    prob_record(bindings)
-                    if record.example_problematic is None and bindings:
-                        record.example_problematic = dict(bindings)
-                    record.candidate_executions += 1
-                if counters is not None:
-                    counters.fused_ops += 1
-                    counters.kernel_evals += 1
-                    counters.trace_interned += 1
-                    if error_bits == 0.0:
-                        counters.error_fast += 1
-                    else:
-                        counters.error_exact += 1
-                    counters.characteristic_updates += len(bindings)
-                    if hw:
-                        if type(real) is DD:
-                            counters.hw_tier_ops += 1
-                        else:
-                            counters.working_tier_ops += 1
-                shadow.influences = influences
-                rshads[i] = shadow
+                rshads[i] = step(sa, av, value)
             return rvals, rshads
         return run
 
     def batch_branch_callback(self, instr: isa.Branch):
-        """A per-site batch branch-spot callback: the fused branch
-        update looped over the lanes of a uniform sub-batch (every lane
-        took the same direction — the engine guarantees it — but each
-        lane's *real* direction is decided per lane).  Returns None when
-        batching is off; the engine then loops the sequential hook."""
+        """A per-site batch branch-spot callback: the branch step looped
+        over the lanes of a uniform sub-batch (every lane took the same
+        direction — the engine guarantees it — but each lane's *real*
+        direction is decided per lane).  Returns None when batching is
+        off; the engine then loops the sequential hook."""
         if not self._batched:
             return None
-        try:
-            nan_result = instr.pred == "ne"
-            comparer = _BIG_PREDICATES[instr.pred]
-        except KeyError:
+        step = self._branch_step(instr)
+        if step is None:
             return None
-        escalates = self._escalates
-        track = self.config.track_influences
         opaque_of = self._opaque_shadow_value
-        record = None
 
         def run(lvals, lshads, rvals, rshads, taken):
-            nonlocal record
-            if record is None:
-                record = self._spot_record(instr, SPOT_BRANCH)
-            n = len(lvals)
-            for i in range(n):
+            for i in range(len(lvals)):
                 left = lshads[i]
                 if left is None:
                     left = lshads[i] = opaque_of(lvals[i])
                 right = rshads[i]
                 if right is None:
                     right = rshads[i] = opaque_of(rvals[i])
-                if escalates:
-                    left_real, right_real = self._comparable(left, right)
-                else:
-                    left_real = left.real
-                    right_real = right.real
-                if left_real.is_nan() or right_real.is_nan():
-                    real_taken = nan_result
-                else:
-                    real_taken = comparer(left_real, right_real)
-                record.executions += 1
-                if real_taken != taken:
-                    record.sum_error += 1.0
-                    if record.max_error < 1.0:
-                        record.max_error = 1.0
-                    record.erroneous += 1
-                    if track:
-                        record.influences |= (
-                            left.influences | right.influences
-                        )
+                step(left, right, taken)
         return run
 
     def _compensation_passthrough(
@@ -1985,7 +1595,7 @@ class HerbgrindAnalysis(Tracer):
         The equality in (a) is a real-valued decision: under adaptive
         tiers it escalates when the candidate and the result are closer
         than their guarded drift bands.  Takes the machine values raw
-        (not boxed) so the batched engine's column closures share it.
+        (not boxed) so the per-lane steps share it.
         """
         real_result = result_shadow.real
         if not real_result.is_finite():

@@ -21,8 +21,13 @@ def to_single(value: float) -> float:
 
     This is the rounding a store-to-float32 performs; the result is a
     Python float that is exactly representable in binary32 (or inf/NaN).
+    Values whose binary32 rounding overflows map to a signed infinity:
+    ``struct`` refuses exactly those, so this is round-to-nearest-even.
     """
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def double_fits_single(value: float) -> bool:

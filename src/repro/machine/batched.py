@@ -97,6 +97,40 @@ class _BatchState:
     __slots__ = ("vals", "shads", "outputs", "columns", "pos", "n")
 
 
+def _column_op(srcs, d, batch_cb, nxt, message: str):
+    """The step of a float-op or wrapped-call site with a tracer batch
+    callback: check the one or two operand columns are float columns
+    (raising ``MachineError(message)`` otherwise), hand them to the
+    callback, and install the result columns in ``d``."""
+    if len(srcs) == 2:
+        a, b = srcs
+
+        def step(st, _a=a, _b=b, _d=d, _cb=batch_cb, _n=nxt):
+            va = st.vals[_a]
+            vb = st.vals[_b]
+            sa = st.shads[_a]
+            sb = st.shads[_b]
+            if va is None or vb is None or sa is _INT or sb is _INT:
+                raise MachineError(message)
+            rv, rs = _cb(va, sa, vb, sb)
+            st.vals[_d] = rv
+            st.shads[_d] = rs
+            return _n
+        return step
+    a = srcs[0]
+
+    def step(st, _a=a, _d=d, _cb=batch_cb, _n=nxt):
+        va = st.vals[_a]
+        sa = st.shads[_a]
+        if va is None or sa is _INT:
+            raise MachineError(message)
+        rv, rs = _cb(va, sa)
+        st.vals[_d] = rv
+        st.shads[_d] = rs
+        return _n
+    return step
+
+
 class BatchedProgram:
     """A program compiled for lockstep multi-point execution.
 
@@ -314,39 +348,10 @@ class BatchedProgram:
             batch_cb = self.tracer.batch_site_callback(
                 instr, instr.op, len(srcs), instr.single, machine_fn
             )
-            if batch_cb is not None and len(srcs) == 2:
-                a, b = srcs
-
-                def step(st, _a=a, _b=b, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    vb = st.vals[_b]
-                    sa = st.shads[_a]
-                    sb = st.shads[_b]
-                    if va is None or vb is None \
-                            or sa is _INT or sb is _INT:
-                        raise MachineError(
-                            "float op on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa, vb, sb)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
-            if batch_cb is not None and len(srcs) == 1:
-                a = srcs[0]
-
-                def step(st, _a=a, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    sa = st.shads[_a]
-                    if va is None or sa is _INT:
-                        raise MachineError(
-                            "float op on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
+            if batch_cb is not None and len(srcs) in (1, 2):
+                return _column_op(
+                    srcs, d, batch_cb, nxt, "float op on a non-float register"
+                )
             return self._per_lane_op(
                 instr, instr.op, srcs, d, machine_fn, instr.single,
                 self._hook("on_op"), nxt,
@@ -367,39 +372,11 @@ class BatchedProgram:
             batch_cb = self.tracer.batch_site_callback(
                 instr, name, len(srcs), False, machine_fn
             )
-            if batch_cb is not None and len(srcs) == 2:
-                a, b = srcs
-
-                def step(st, _a=a, _b=b, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    vb = st.vals[_b]
-                    sa = st.shads[_a]
-                    sb = st.shads[_b]
-                    if va is None or vb is None \
-                            or sa is _INT or sb is _INT:
-                        raise MachineError(
-                            "library call on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa, vb, sb)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
-            if batch_cb is not None and len(srcs) == 1:
-                a = srcs[0]
-
-                def step(st, _a=a, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    sa = st.shads[_a]
-                    if va is None or sa is _INT:
-                        raise MachineError(
-                            "library call on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
+            if batch_cb is not None and len(srcs) in (1, 2):
+                return _column_op(
+                    srcs, d, batch_cb, nxt,
+                    "library call on a non-float register",
+                )
             return self._per_lane_op(
                 instr, name, srcs, d, machine_fn, False,
                 self._hook("on_library"), nxt,

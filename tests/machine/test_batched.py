@@ -6,7 +6,7 @@ lane pattern — uniform batches, divergent branches splitting the lanes
 into sub-batches, loop programs falling back entirely, and the
 degenerate one-lane batch.
 
-The fused binary/unary column closures loop the lanes themselves, so
+The column adapters loop the lanes through the per-lane steps, so
 their operand columns concentrate on the adversarial geography:
 subnormals, signed zeros, infinities, NaN, near-overflow magnitudes,
 the Dekker splitting limit, the deep-underflow guard band, division by
@@ -26,7 +26,13 @@ import pytest
 from repro.core import AnalysisConfig, EngineFeatures, analyze_program
 from repro.core.analysis import _batched_default
 from repro.fpcore.parser import parse_fpcore
-from repro.machine import BatchedProgram, Tracer, compile_fpcore
+from repro.machine import (
+    BatchedProgram,
+    FunctionBuilder,
+    Program,
+    Tracer,
+    compile_fpcore,
+)
 from repro.machine.interpreter import MachineError
 
 BATCHED = EngineFeatures(
@@ -100,8 +106,9 @@ def signature(analysis):
 
 
 def run_both(core, points, policy="adaptive", hw_tier=None):
+    """Batched vs sequential on ``core``: an FPCore or a built Program."""
     config = AnalysisConfig(precision_policy=policy, hw_tier=hw_tier)
-    program = compile_fpcore(core)
+    program = core if isinstance(core, Program) else compile_fpcore(core)
     batched, out_b = analyze_program(
         program, points, config=config, features=BATCHED
     )
@@ -230,6 +237,40 @@ class TestColumnParity:
     def test_negative_sqrt_lanes(self, policy):
         values = [-1.0, 4.0, -0.0, 0.0, -math.inf, math.inf, 2.0, -4.0]
         run_columns("(FPCore (x) (sqrt x))", [[v] for v in values], policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_single_precision_sites(self, policy):
+        # Single-rounded sites narrow the machine result per lane; the
+        # last lane's sum rounds past FLOAT32_MAX to infinity.
+        fn = FunctionBuilder("main")
+        x = fn.read()
+        y = fn.read()
+        for op in ("+", "*", "/", "-"):
+            fn.out(fn.op(op, x, y, single=True))
+        for op in ("sqrt", "fabs", "neg"):
+            fn.out(fn.op(op, x, single=True))
+        fn.out(fn.op("+", x, y))
+        fn.halt()
+        program = Program()
+        program.add(fn.build())
+        rng = random.Random(0x1A5E1)
+        points = [[operand(rng), operand(rng)] for _ in range(51)]
+        points.append([3e38, 3e38])
+        analysis = run_both(program, points, policy)
+        assert analysis.batched_lanes == len(points)
+        config = AnalysisConfig(precision_policy=policy)
+        reference, out_r = analyze_program(
+            program, points, config=config,
+            features=EngineFeatures.for_engine("reference"),
+        )
+        _, out_b = analyze_program(
+            program, points, config=config, features=BATCHED
+        )
+        assert [[bits(v) for v in row] for row in out_r] \
+            == [[bits(v) for v in row] for row in out_b]
+        assert out_b[-1][0] == math.inf
+        assert signature(reference) == signature(analysis)
+        assert reference.tier_residency() == analysis.tier_residency()
 
 
 class TestStaticEligibility:

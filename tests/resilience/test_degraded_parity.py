@@ -8,11 +8,15 @@ friends) means a slower rung is the same analysis, so degrading can
 never change an answer — only its cost.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import AnalysisSession, results_to_json
-from repro.core import AnalysisConfig
+from repro.api.sampling import sample_inputs
+from repro.core import AnalysisConfig, analyze_program
 from repro.fpcore import load_corpus
+from repro.machine import compile_fpcore
 from repro.resilience import faults
 from repro.resilience.errors import OpBudgetExceeded
 from repro.resilience.ladder import (
@@ -151,6 +155,38 @@ class TestResourceGuards:
             load_corpus()[CORPUS_SLICE], workers=1
         ))
         assert guarded == clean
+
+    @pytest.mark.parametrize(
+        "name", ["paper-foo-bar", "loop-tenth-accumulate"]
+    )
+    def test_op_budget_counts_each_operation_once(self, name):
+        # Both engines and both policies tick once per analysed
+        # operation, so the count is exact: a budget of ``ops`` runs to
+        # completion and one less trips on the last operation.
+        core = next(c for c in load_corpus() if c.name == name)
+        program = compile_fpcore(core)
+        points = sample_inputs(core, 4, seed=0)
+        runs = [
+            AnalysisConfig(engine=engine, precision_policy=policy)
+            for engine in ("compiled", "reference")
+            for policy in ("fixed", "adaptive")
+        ]
+
+        def analyze(config, budget):
+            analysis, __ = analyze_program(
+                program, points,
+                config=dataclasses.replace(config, op_budget=budget),
+            )
+            return analysis._guard.ops
+
+        counts = {analyze(config, 10**12) for config in runs}
+        assert len(counts) == 1
+        ops = counts.pop()
+        assert ops > 0
+        for config in runs:
+            assert analyze(config, ops) == ops
+            with pytest.raises(OpBudgetExceeded):
+                analyze(config, ops - 1)
 
     def test_no_degrade_propagates_guard_violation(self):
         session = AnalysisSession(

@@ -25,6 +25,7 @@ from repro.ieee import (
     ulp,
     ulps_between,
 )
+from repro.ieee.float32 import FLOAT32_MAX
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
 any_doubles = st.floats(allow_nan=True, allow_infinity=True)
@@ -180,3 +181,24 @@ class TestSingle:
 
     def test_single_nan(self):
         assert bits_of_error_single(math.nan, 1.0) == 32.0
+
+    def test_overflow_midpoint_rounds_to_inf(self):
+        # FLOAT32_MAX has an odd significand, so the tie with 2**128
+        # goes to the even neighbour: infinity.
+        midpoint = (FLOAT32_MAX + 2.0 ** 128) / 2
+        assert to_single(midpoint) == math.inf
+        assert to_single(-midpoint) == -math.inf
+
+    def test_below_overflow_midpoint_rounds_to_max(self):
+        midpoint = (FLOAT32_MAX + 2.0 ** 128) / 2
+        assert to_single(math.nextafter(midpoint, 0.0)) == FLOAT32_MAX
+
+    def test_overflow_to_signed_inf(self):
+        assert to_single(1e39) == math.inf
+        assert to_single(-1e39) == -math.inf
+        assert to_single(3e38 + 3e38) == math.inf
+
+    def test_non_finite_pass_through(self):
+        assert to_single(math.inf) == math.inf
+        assert to_single(-math.inf) == -math.inf
+        assert math.isnan(to_single(math.nan))
