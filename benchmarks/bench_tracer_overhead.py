@@ -12,17 +12,14 @@ the compiled fast path that attacks all three layers and emits
   microseconds per floating-point operation.
 * **End-to-end wall-clock** — the interpreter-bound corpus suite (the
   loop benchmarks plus the most operation-heavy straight-line
-  benchmarks) per engine configuration, with **per-layer attribution**:
+  benchmarks) per analysis stack, with **per-stack attribution**:
 
-  - ``dispatch``   — threaded-code interpreter only,
-  - ``trace_alloc`` — + ident-interning trace pool,
-  - ``antiunify``  — + steady-state anti-unification fast path
-    (the PR-3 stack),
-  - ``kernel_cache`` — + transcendental kernel-result memoization
-    (the PR-4 stack),
-  - ``fused``      — + site-compiled per-op pipeline callbacks,
-  - ``batched``    — + lockstep multi-point execution (= the full
-    compiled engine; loop benchmarks fall back per-point, so the
+  - ``reference`` — the reference interpreter and generic walk,
+  - ``compiled``  — the compiled engine, one point at a time
+    (threaded interpreter, trace pool, steady-state anti-unify,
+    per-site steps),
+  - ``batched``   — + lockstep multi-point execution (the default
+    compiled stack; loop benchmarks fall back per-point, so the
     batched gain concentrates in the straight-line suite).
 
 * **Hardware shadow tier** (``hw_tier``) — adaptive-policy per-op cost
@@ -31,7 +28,7 @@ the compiled fast path that attacks all three layers and emits
   dominates tracing, with per-tier residency counters and
   promotion/escalation rates from the hw-on run.
 * **Parity gate** — byte-identical ``AnalysisResult`` JSON between
-  every configuration and the reference engine, under both precision
+  every stack and the reference engine, under both precision
   policies.  Any mismatch fails the run.
 * **Live baseline** (optional, ``--baseline-rev``; default the PR-4
   commit) — checks out the baseline tree in a temporary git worktree
@@ -75,22 +72,21 @@ from repro.fpcore.printer import format_fpcore
 from repro.machine import CompiledProgram, Interpreter, compile_fpcore
 from repro.api.sampling import sample_inputs
 
-#: Layer stack, innermost first; each entry adds one fast-path layer.
-#: "antiunify" is the PR-3 stack, "kernel_cache" the PR-4 stack,
-#: "fused" adds the site-compiled per-op pipeline, and "batched" runs
-#: all sample points in lockstep through it (the full compiled
-#: engine).
+#: The analysis stacks, slowest first: (label, engine, switches).
+#: "compiled" is the compiled engine one point at a time, "batched"
+#: runs all sample points in lockstep through it (the default stack).
 LAYERS = (
-    ("reference", EngineFeatures(False, False, False)),
-    ("dispatch", EngineFeatures(True, False, False)),
-    ("trace_alloc", EngineFeatures(True, True, False)),
-    ("antiunify", EngineFeatures(True, True, True)),
-    ("kernel_cache", EngineFeatures(True, True, True, kernel_cache=True)),
-    ("fused", EngineFeatures(True, True, True, kernel_cache=True,
-                             fused_pipeline=True)),
-    ("batched", EngineFeatures(True, True, True, kernel_cache=True,
-                               fused_pipeline=True, batched=True)),
+    ("reference", "reference", EngineFeatures()),
+    ("compiled", "compiled", EngineFeatures(batched=False)),
+    ("batched", "compiled", EngineFeatures(batched=True)),
 )
+
+
+def run_layer(program, sampled, engine, features, policy="fixed"):
+    """One analysis of ``program`` over ``sampled`` on one stack."""
+    config = AnalysisConfig(precision_policy=policy, engine=engine)
+    return analyze_program(program, sampled, config=config,
+                           features=features)
 
 
 def select_suites(corpus, points: int, seed: int, size: int):
@@ -187,32 +183,27 @@ def bench_native_overhead(suite, points: int, seed: int, repeat: int) -> Dict:
 def bench_layers(suite, points: int, seed: int, repeat: int) -> Dict:
     """Per-benchmark, per-layer steady-state analysis times.
 
-    Repetitions are *interleaved* across the layer configurations
-    (reference, dispatch, ... all timed once per round, best-of-rounds
-    reported) so slow drift in machine load hits every configuration
-    equally instead of skewing the ratios.
+    Repetitions are *interleaved* across the stacks (reference,
+    compiled, batched all timed once per round, best-of-rounds
+    reported) so slow drift in machine load hits every stack equally
+    instead of skewing the ratios.
     """
     per_benchmark = []
     for core in suite:
         program = compile_fpcore(core)
         sampled = sample_inputs(core, points, seed=seed)
-        config = AnalysisConfig()
         best: Dict[str, float] = {}
-        for label, features in LAYERS:  # warm every configuration once
-            analyze_program(
-                program, sampled, config=config, features=features
-            )
+        for label, engine, features in LAYERS:  # warm every stack once
+            run_layer(program, sampled, engine, features)
         for __ in range(max(1, repeat)):
-            for label, features in LAYERS:
+            for label, engine, features in LAYERS:
                 start = time.perf_counter()
-                analyze_program(
-                    program, sampled, config=config, features=features
-                )
+                run_layer(program, sampled, engine, features)
                 elapsed = time.perf_counter() - start
                 if label not in best or elapsed < best[label]:
                     best[label] = elapsed
         row = {"benchmark": core.name}
-        for label, __features in LAYERS:
+        for label, __, __ in LAYERS:
             row[label + "_seconds"] = round(best[label], 4)
         outer = LAYERS[-1][0]
         row["speedup_vs_reference"] = round(
@@ -222,7 +213,7 @@ def bench_layers(suite, points: int, seed: int, repeat: int) -> Dict:
     speedups = [row["speedup_vs_reference"] for row in per_benchmark]
     attribution = {}
     previous = "reference"
-    for label, __ in LAYERS[1:]:
+    for label, __, __ in LAYERS[1:]:
         gains = [
             row[previous + "_seconds"] / max(row[label + "_seconds"], 1e-9)
             for row in per_benchmark
@@ -245,12 +236,12 @@ def bench_layers(suite, points: int, seed: int, repeat: int) -> Dict:
 def bench_batched_per_op(suite, points: int, seed: int, repeat: int) -> Dict:
     """Straight-line per-op cost, batched on vs off.
 
-    The headline number for lockstep execution: the same full fused
-    stack, with only the batched layer toggled, on the suite where it
+    The headline number for lockstep execution: the compiled engine
+    with only the batched switch toggled, on the suite where it
     actually engages (loop benchmarks fall back per-point).
     """
-    on = LAYERS[-1][1]
-    off = LAYERS[-2][1]
+    on = LAYERS[-1][2]
+    off = LAYERS[-2][2]
     total_ops = 0
     seconds = {"batched": 0.0, "unbatched": 0.0}
     for core in suite:
@@ -370,18 +361,17 @@ def bench_hw_tier(points: int, seed: int, repeat: int) -> Dict:
 
 
 def bench_parity(suite, points: int, seed: int) -> Dict:
-    """Byte-identical JSON across every layer stack and both policies."""
+    """Byte-identical JSON across every stack and both policies."""
     failures = []
     for policy in ("fixed", "adaptive"):
         baseline = None
-        for label, features in LAYERS:
+        for label, engine, features in LAYERS:
             serialized = []
             for core in suite:
                 program = compile_fpcore(core)
                 sampled = sample_inputs(core, points, seed=seed)
-                config = AnalysisConfig(precision_policy=policy)
-                analysis, __ = analyze_program(
-                    program, sampled, config=config, features=features
+                analysis, __ = run_layer(
+                    program, sampled, engine, features, policy
                 )
                 serialized.append(_signature_json(analysis))
             blob = "\n".join(serialized)

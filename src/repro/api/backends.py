@@ -99,15 +99,14 @@ class HerbgrindBackend(AnalysisBackend):
             # gating on the compiled engine guarantees the ladder's
             # reference rung converges.
             _faults.trip("backend.flaky", EngineFault)
-        # The engine's default layer stack — including lockstep
-        # batching when the compiled engine is selected (overridable
-        # via REPRO_BATCHED=0).  Results are contractually identical
-        # across every stack; the layers only change the cost.
-        # ``request.features`` (internal — the degradation ladder's
-        # sequential rung) overrides the default stack.
+        # The engine's default switches — lockstep batching when the
+        # compiled engine is selected (overridable via REPRO_BATCHED=0).
+        # Results are contractually identical either way; the switches
+        # only change the cost.  ``request.features`` (internal — the
+        # degradation ladder's sequential rung) overrides the default.
         features = request.features
         if request.profile:
-            # Same engine layers, plus the per-stage attribution
+            # Same engine switches, plus the per-stage attribution
             # counters (results are unchanged; only extra[] grows).
             features = dataclasses.replace(
                 features if features is not None
@@ -175,8 +174,6 @@ class HerbgrindBackend(AnalysisBackend):
         extra["tier_residency"] = analysis.tier_residency()
         if request.profile:
             profile = analysis.stage_counters.to_dict()
-            profile["kernel_cache_hits"] = analysis.kernel_cache_hits
-            profile["kernel_cache_misses"] = analysis.kernel_cache_misses
             profile["tier_residency"] = analysis.tier_residency()
             extra["pipeline_profile"] = profile
         static = _static_report(program, request, analysis)
@@ -207,16 +204,17 @@ def _expr_text(expression) -> str:
 def _static_report(program, request, analysis):
     """The static layer's report for one dynamic run, or ``None``.
 
-    Enabled by default; ``REPRO_STATIC=0`` turns it off.  The static
+    Enabled by default; ``REPRO_STATIC=0`` (or "false"/"off", see
+    :func:`~repro.core.config.env_switch`) turns it off.  The static
     pass runs over the *same* compiled program and precondition box as
     the dynamic analysis and cross-checks its ranking against the
     dynamically flagged candidate sites.  It is strictly advisory: any
     failure inside it is swallowed so the dynamic result is never
     affected.
     """
-    import os
+    from repro.core.config import env_switch
 
-    if os.environ.get("REPRO_STATIC", "1") == "0":
+    if not env_switch("REPRO_STATIC"):
         return None
     try:
         from repro.staticanalysis import cross_check, static_report

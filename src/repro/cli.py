@@ -33,7 +33,12 @@ from repro.api import (
 )
 from repro.bigfloat import available_policies, available_substrates
 from repro.core import AnalysisConfig, generate_report
-from repro.fpcore import load_corpus, parse_expr, parse_fpcore
+from repro.fpcore import (
+    FPCoreSyntaxError,
+    load_corpus,
+    parse_expr,
+    parse_fpcore,
+)
 from repro.fpcore.ast import free_variables
 from repro.fpcore.printer import format_expr
 from repro.improve import improve_expression
@@ -427,7 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FPCoreSyntaxError as exc:
+        print(f"repro: invalid FPCore: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -27,14 +27,13 @@ study's prose describes).
 from __future__ import annotations
 
 import operator
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bigfloat import BigFloat, make_policy
 from repro.bigfloat import arith
-from repro.bigfloat.backend import KERNEL_CACHE_OPERATIONS, get_backend
+from repro.bigfloat.backend import get_backend
 from repro.bigfloat.doubledouble import (
     DD_KERNELS,
     DoubleDouble,
@@ -46,7 +45,12 @@ from repro.bigfloat.doubledouble import (
 from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.bigfloat.policy import EXACT
 from repro.bigfloat.rounding import ROUND_NEAREST_EVEN
-from repro.core.config import ENGINE_COMPILED, AnalysisConfig, resolve_hw_tier
+from repro.core.config import (
+    ENGINE_COMPILED,
+    AnalysisConfig,
+    env_switch,
+    resolve_hw_tier,
+)
 from repro.core.localerror import rounded_local_error, rounded_total_error
 from repro.ieee.error import bits_of_error_fast
 from repro.ieee.float32 import to_single
@@ -69,15 +73,6 @@ from repro.resilience.errors import (
     EngineFault,
     OpBudgetExceeded,
 )
-
-
-def _batched_default() -> bool:
-    """Default state of the batched layer: on, unless ``REPRO_BATCHED``
-    forces it off (the CI fallback leg sets ``REPRO_BATCHED=0`` so the
-    per-point path stays green)."""
-    return os.environ.get("REPRO_BATCHED", "1").strip().lower() not in (
-        "0", "false", "off"
-    )
 
 
 #: Operations between deadline checks: ``time.monotonic()`` per op
@@ -153,63 +148,41 @@ class ResourceGuard:
 
 @dataclass(frozen=True)
 class EngineFeatures:
-    """The independent layers of the compiled fast path.
+    """The two switches riding on the compiled engine.
 
-    ``AnalysisConfig.engine`` maps to all-on ("compiled") or all-off
-    ("reference"); the benchmark harness toggles layers individually
-    for per-layer overhead attribution.  Every combination produces
-    identical analysis results.
+    ``AnalysisConfig.engine`` picks the analysis stack.  "compiled"
+    runs :class:`repro.machine.compiled.CompiledProgram`, interns
+    traces as integer idents in a :class:`~repro.core.trace.TracePool`,
+    takes the steady-state anti-unification walk, and analyses each
+    operation through its site's per-lane step.  "reference" runs the
+    plain :class:`~repro.machine.interpreter.Interpreter` through the
+    generic per-operation walk: the oracle.  Neither switch below
+    changes a report byte.
     """
 
-    #: Execute through :class:`repro.machine.compiled.CompiledProgram`.
-    threaded_interpreter: bool = True
-    #: Intern traces as integer idents through a
-    #: :class:`~repro.core.trace.TracePool` (structured nodes are then
-    #: materialized lazily — at anti-unification bail-outs, escalation
-    #: re-execution, and report time).
-    trace_pool: bool = True
-    #: Use the steady-state anti-unification fast path.
-    fast_antiunify: bool = True
-    #: Memoize transcendental shadow results per (operation, operand
-    #: trace idents) within one execution — loop-invariant log/pow/trig
-    #: shadows are computed once per run.  Requires the trace pool (the
-    #: idents come from its hash-consing); defaults off so explicitly
-    #: constructed layer combinations keep their PR-3 meaning.
-    kernel_cache: bool = False
-    #: Run the per-operation analysis through site-compiled fused
-    #: pipeline callbacks: one closure per (site, config), pre-binding
-    #: the record, the resolved ⟦f⟧_R kernel and ⟦f⟧_F handler, and the
-    #: policy flags, which the compiled engine invokes directly instead
-    #: of the generic ``on_op`` path.  Requires the trace pool and the
-    #: fast anti-unification walk; the reference interpreter ignores it
-    #: (the oracle stays on the unfused path).  Defaults off so
-    #: explicitly constructed layer combinations keep their PR-3/PR-4
-    #: meaning.
-    fused_pipeline: bool = False
+    #: Execute all sample points in lockstep through the batched engine
+    #: (:class:`repro.machine.batched.BatchedProgram`): SoA register
+    #: columns, one per-site callback invocation covering the whole
+    #: batch, and branch-signature grouping that splits divergent lanes
+    #: into uniform sub-batches (singletons degrade to one-lane
+    #: batches).  Loops, memory traffic, and user calls fall back to
+    #: the sequential per-point path.  Compiled engine only; the parity
+    #: suite pins batched-on vs batched-off.
+    batched: bool = False
     #: Count per-stage pipeline events (shadow resolution, kernel
     #: evaluations, trace interning, error fast path, anti-unify
     #: verdicts, characteristic updates) on
     #: :attr:`HerbgrindAnalysis.stage_counters` for attribution.  Off
     #: by default: the counters cost real time on the hot path.
     profile: bool = False
-    #: Execute all sample points in lockstep through the batched engine
-    #: (:class:`repro.machine.batched.BatchedProgram`): SoA register
-    #: columns, one fused per-site callback invocation covering the
-    #: whole batch, and branch-signature grouping that splits divergent
-    #: lanes into uniform sub-batches (singletons degrade to one-lane
-    #: batches).  Loops, memory traffic, and user calls fall back to
-    #: the sequential per-point path.  Requires the fused pipeline (and
-    #: with it the pool + fast anti-unify); reports are byte-identical
-    #: either way — the parity suite pins batched-on vs batched-off.
-    batched: bool = False
 
     @classmethod
     def for_engine(cls, engine: str) -> "EngineFeatures":
-        on = engine == ENGINE_COMPILED
+        """The default switches of ``engine``: batched on the compiled
+        engine unless ``REPRO_BATCHED`` turns it off (the CI fallback
+        leg does, so the per-point path stays green)."""
         return cls(
-            threaded_interpreter=on, trace_pool=on, fast_antiunify=on,
-            kernel_cache=on, fused_pipeline=on,
-            batched=on and _batched_default(),
+            batched=engine == ENGINE_COMPILED and env_switch("REPRO_BATCHED")
         )
 
 
@@ -320,33 +293,28 @@ class HerbgrindAnalysis(Tracer):
         self._sites: Dict[int, isa.Instr] = {}  # keeps instr ids stable
         self._site_counter = 0
         self.runs = 0
-        #: Ident-interning pool (compiled engine); None disables it.
-        #: When present, every :attr:`ShadowValue.trace` is an integer
-        #: ident into the pool's flat arrays; structured nodes are
-        #: materialized lazily.
+        #: Ident-interning pool (compiled engine; None on the reference
+        #: engine).  When present, every :attr:`ShadowValue.trace` is an
+        #: integer ident into the pool's flat arrays; structured nodes
+        #: are materialized lazily — at anti-unification bail-outs,
+        #: escalation re-execution, and report time.
         self.pool = (
             trace_mod.TracePool(
                 levels_depth=self.config.max_expression_depth
             )
-            if self.features.trace_pool else None
+            if self.config.engine == ENGINE_COMPILED else None
         )
         self.escalator = ShadowEscalator(
             self.policy, backend=self.backend, pool=self.pool
         )
-        #: Site-compiled pipeline enabled (requires the pool and the
-        #: fast anti-unification walk, which the fused walk is).
-        self._fused = bool(
-            self.features.fused_pipeline
-            and self.pool is not None
-            and self.features.fast_antiunify
-        )
-        #: Batched lockstep execution enabled (rides on the fused
-        #: pipeline: the batch callbacks are its per-lane loops).  A
-        #: resource guard forces the sequential path: budgets need
-        #: per-op ticks, and the parity invariant makes the downgrade
-        #: invisible in the report bytes.
+        #: Batched lockstep execution enabled (compiled engine only:
+        #: the batch callbacks loop its per-lane steps).  A resource
+        #: guard forces the sequential path: budgets need per-op ticks,
+        #: and the parity invariant makes the downgrade invisible in
+        #: the report bytes.
         self._batched = bool(
-            self.features.batched and self._fused and self._guard is None
+            self.features.batched and self.pool is not None
+            and self._guard is None
         )
         #: Batch-orchestration introspection (not serialized): uniform
         #: sub-batches executed and lanes covered by them.  Zero when
@@ -362,20 +330,6 @@ class HerbgrindAnalysis(Tracer):
         #: value-determined; entries are (pool epoch, value bits,
         #: shadow) and are refreshed per run with a new ident.
         self._leaf_shadows: Dict[int, tuple] = {}
-        #: Kernel-result cache: (op, operand trace idents) -> shadow
-        #: real.  Sound because the pool interns entries (same idents
-        #: => same shadow reals at the analysis context precision)
-        #: *within one execution*; the pool recycles idents every run,
-        #: so the per-run clear in :meth:`on_start` is load-bearing — a
-        #: stale entry under a recycled ident would alias a different
-        #: value.
-        self._kernel_cache: Optional[Dict[tuple, BigFloat]] = (
-            {} if (self.pool is not None and self.features.kernel_cache)
-            else None
-        )
-        #: Aggregate cache statistics (benchmark attribution).
-        self.kernel_cache_hits = 0
-        self.kernel_cache_misses = 0
 
     # ------------------------------------------------------------------
     # Record lookup
@@ -392,7 +346,6 @@ class HerbgrindAnalysis(Tracer):
                 op=op,
                 loc=getattr(instr, "loc", None),
                 config=self.config,
-                fast_antiunify=self.features.fast_antiunify,
             )
             if self._profile:
                 # Anti-unify verdicts are counted at the Generalization
@@ -548,11 +501,6 @@ class HerbgrindAnalysis(Tracer):
             # them before the reset recycles every ident.
             self._materialize_pending()
             self.pool.begin_execution()
-        if self._kernel_cache is not None:
-            # Load-bearing: begin_execution() recycled every ident, so
-            # an entry surviving this clear could be hit by an
-            # unrelated value's recycled ident next run.
-            self._kernel_cache.clear()
 
     def on_batch_start(self, machine, lanes: int) -> None:
         """One uniform sub-batch of ``lanes`` lockstep points begins.
@@ -571,8 +519,6 @@ class HerbgrindAnalysis(Tracer):
             # idents are still valid until the reset below.
             self._materialize_pending()
             self.pool.begin_batch(lanes)
-        if self._kernel_cache is not None:
-            self._kernel_cache.clear()
         self.batched_groups += 1
         self.batched_lanes += lanes
 
@@ -744,23 +690,7 @@ class HerbgrindAnalysis(Tracer):
             # sees uniform argument types.
             real_result, exact_op = self._hw_apply(op, shadows)
         real_args = [s.real for s in shadows]
-        cache = self._kernel_cache
-        if real_result is not None:
-            pass
-        elif cache is not None and op in KERNEL_CACHE_OPERATIONS:
-            # Transcendental kernels are memoized per (op, operand
-            # idents): the pool interns traces, so identical idents
-            # imply identical shadow reals, and a loop-invariant
-            # log/pow/trig shadow is computed once per execution.
-            cache_key = (op,) + tuple(s.trace for s in shadows)
-            real_result = cache.get(cache_key)
-            if real_result is None:
-                real_result = self._apply(op, real_args, self.context)
-                cache[cache_key] = real_result
-                self.kernel_cache_misses += 1
-            else:
-                self.kernel_cache_hits += 1
-        else:
+        if real_result is None:
             try:
                 real_result = self._apply(op, real_args, self.context)
             except KeyError:
@@ -941,11 +871,6 @@ class HerbgrindAnalysis(Tracer):
         context = self.context
         escalates = self._escalates
         policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
         compensating = config.detect_compensation and op in ("+", "-")
         is_sub = op == "-"
         threshold = config.local_error_threshold
@@ -1004,24 +929,11 @@ class HerbgrindAnalysis(Tracer):
                     promote(sa)
                     promote(sb)
                     self.hw_promotions += 1
-            if real is not None:
-                pass
-            elif cache is not None:
-                key = (op, ta, tb)
-                real = cache.get(key)
-                if real is None:
-                    real = (
-                        kernel2(sa.real, sb.real, context) if raw
-                        else kernel((sa.real, sb.real), context)
-                    )
-                    cache[key] = real
-                    self.kernel_cache_misses += 1
+            if real is None:
+                if raw:
+                    real = kernel2(sa.real, sb.real, context)
                 else:
-                    self.kernel_cache_hits += 1
-            elif raw:
-                real = kernel2(sa.real, sb.real, context)
-            else:
-                real = kernel((sa.real, sb.real), context)
+                    real = kernel((sa.real, sb.real), context)
             if record is None:
                 record = self._op_record(instr, op)
                 generalization = record.generalization
@@ -1177,11 +1089,6 @@ class HerbgrindAnalysis(Tracer):
         context = self.context
         escalates = self._escalates
         policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
         threshold = config.local_error_threshold
         track = config.track_influences
         counters = self.stage_counters if self._profile else None
@@ -1225,24 +1132,11 @@ class HerbgrindAnalysis(Tracer):
                     if real is None:
                         promote(sa)
                         self.hw_promotions += 1
-            if real is not None:
-                pass
-            elif cache is not None:
-                key = (op, ta)
-                real = cache.get(key)
-                if real is None:
-                    real = (
-                        kernel2(sa.real, context) if raw
-                        else kernel((sa.real,), context)
-                    )
-                    cache[key] = real
-                    self.kernel_cache_misses += 1
+            if real is None:
+                if raw:
+                    real = kernel2(sa.real, context)
                 else:
-                    self.kernel_cache_hits += 1
-            elif raw:
-                real = kernel2(sa.real, context)
-            else:
-                real = kernel((sa.real,), context)
+                    real = kernel((sa.real,), context)
             if record is None:
                 record = self._op_record(instr, op)
                 generalization = record.generalization
@@ -1377,8 +1271,6 @@ class HerbgrindAnalysis(Tracer):
         time; the returned closure replaces the ``on_op``/``on_library``
         dispatch for that site with the site's per-lane step.
         """
-        if not self._fused:
-            return None
         step = self._site_step(instr, op, arity, single)
         if step is None:
             return None
@@ -1423,8 +1315,6 @@ class HerbgrindAnalysis(Tracer):
         the warm per-iteration path is two compares and an attribute
         store.
         """
-        if not self._fused:
-            return None
         pool = self.pool
         site = id(instr)
         loc = getattr(instr, "loc", None)
@@ -1467,8 +1357,6 @@ class HerbgrindAnalysis(Tracer):
 
     def fused_branch_callback(self, instr: isa.Branch):
         """A per-site branch-spot callback (see ``on_branch``)."""
-        if not self._fused:
-            return None
         step = self._branch_step(instr)
         if step is None:
             return None
@@ -1825,13 +1713,13 @@ def analyze_program(
     Returns the analysis (records aggregated across runs, as Herbgrind
     aggregates across a whole execution) plus each run's outputs.
 
-    ``config.engine`` selects the execution engine ("compiled" by
-    default); ``features`` overrides the individual fast-path layers
-    for overhead attribution (benchmarks only).
+    ``config.engine`` selects the analysis stack ("compiled" by
+    default); ``features`` overrides the engine's default switches
+    (batching, profile counters).
     """
     analysis = HerbgrindAnalysis(config, features=features)
     outputs: List[List[float]] = []
-    if analysis.features.threaded_interpreter:
+    if analysis.pool is not None:
         from repro.machine.compiled import CompiledProgram
 
         if _faults.active():

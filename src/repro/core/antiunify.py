@@ -30,7 +30,8 @@ one old variable faces two different new sub-trees, it splits.
 Symbolic expressions reuse the FPCore AST (Num/Var/Op), which is also
 how they are reported and fed to the improver.
 
-**The steady-state fast path** (``fast=True``, the compiled engine):
+**The steady-state fast path** (the pooled entry points, which the
+compiled engine uses; the node entry points are the reference walk):
 in loops, almost every update leaves the symbolic expression unchanged
 — the site saw this shape before and only the leaf values moved.  The
 fast path runs one allocation-free walk of the *existing* expression
@@ -97,9 +98,6 @@ class Generalization:
     #: configuration of Section 8.2).
     max_depth: int = 20
     expression: Expr = None  # None until the first trace arrives
-    #: Enable the steady-state fast path and the memoized deep-mark
-    #: computation (the compiled engine; results are identical).
-    fast: bool = False
     #: Optional per-stage counter sink (a
     #: :class:`repro.core.analysis.PipelineStageCounters`); when set,
     #: every update records its verdict (``antiunify_fast`` /
@@ -149,16 +147,18 @@ class Generalization:
     # ------------------------------------------------------------------
 
     def update(self, trace: TraceNode) -> Expr:
-        """Anti-unify ``trace`` into the current symbolic expression."""
+        """Anti-unify ``trace`` into the current symbolic expression
+        (the reference walk: truncation marked by a direct DAG walk)."""
         state = _UpdateState()
         if trace.depth > self.max_depth:
             # A node's depth-from-root never exceeds the root's height,
             # so a shallow trace cannot contain truncated occurrences —
             # the deep-mark walk is pure overhead for it.
-            if self.fast:
-                state.truncated = self._truncation_frontier(trace)
-            else:
-                self._mark_deep_nodes(trace, state)
+            self._mark_deep_nodes(trace, state)
+        return self._absorb(trace, state)
+
+    def _absorb(self, trace: TraceNode, state: _UpdateState) -> Expr:
+        """First trace or full merge, with ``state.truncated`` set."""
         if self.expression is None:
             self.expression = self._initial(trace, state)
         else:
@@ -168,25 +168,9 @@ class Generalization:
     def update_with_bindings(
         self, trace: TraceNode
     ) -> Tuple[Expr, Dict[str, float]]:
-        """Anti-unify ``trace`` and collect its per-variable values.
-
-        Equivalent to :meth:`update` followed by
-        :func:`collect_variable_values`, but in fast mode the two walks
-        fuse into one — and skip the merge entirely — whenever the
-        expression provably already generalizes the trace.
-        """
-        if self.fast and self.expression is not None:
-            bindings = self._fast_update(trace)
-            if bindings is not None:
-                if self.stats is not None:
-                    self.stats.antiunify_fast += 1
-                return self.expression, bindings
-            state = _UpdateState()
-            if trace.depth > self.max_depth:
-                state.truncated = self._truncation_frontier(trace)
-            self.expression = self._merge(self.expression, trace, state)
-        else:
-            self.update(trace)
+        """Anti-unify ``trace`` and collect its per-variable values:
+        :meth:`update` followed by :func:`collect_variable_values`."""
+        self.update(trace)
         if self.stats is not None:
             self.stats.antiunify_merge += 1
         bindings = {}
@@ -375,81 +359,6 @@ class Generalization:
         self._flat_expr = expression
         return flat
 
-    def _fast_update(self, trace: TraceNode) -> Optional[Dict[str, float]]:
-        """Verify the expression already generalizes ``trace``; on
-        success return the variable bindings, else None (caller falls
-        back to the full merge).
-
-        The check mirrors the full merge decision-for-decision — same
-        variable-consistency rule, same truncation handling — except
-        that instead of *building* the merged expression it *bails*
-        the moment the merge would return anything but the existing
-        node.  Truncation is served in O(1) from the trace pool's
-        distance index when present; unpooled traces verify first and
-        then run one frontier walk over the recorded operator
-        positions.  Positions that are already variables are
-        indifferent to truncation — the merge computes the same
-        bounded-depth key either way.
-        """
-        max_depth = self.max_depth
-        truncated: Optional[FrozenSet[int]] = None
-        collect_ops = False
-        if trace.depth > max_depth:
-            levels = trace.levels
-            if levels is not None and len(levels) > max_depth:
-                truncated = levels[max_depth]
-            else:
-                collect_ops = True
-        program = self._flat_program()
-        if program is None:
-            return self._fast_update_generic(trace, truncated, collect_ops)
-        eq_depth = self.equivalence_depth
-        op_idents: Set[int] = set()
-        bindings: Dict[str, float] = {}
-        var_keys: Dict[str, tuple] = {}
-        nodes = [trace]
-        pop = nodes.pop
-        for entry in program:
-            node = pop()
-            tag = entry[0]
-            if tag == 0:
-                if node.kind != KIND_OP or node.op != entry[1]:
-                    return None
-                if truncated is not None and node.ident in truncated:
-                    return None  # this expanded position is truncated
-                args = node.args
-                count = entry[2]
-                if len(args) != count:
-                    return None
-                if collect_ops:
-                    op_idents.add(node.ident)
-                if count == 2:
-                    nodes.append(args[1])
-                    nodes.append(args[0])
-                elif count == 1:
-                    nodes.append(args[0])
-                else:
-                    nodes.extend(args[::-1])
-            elif tag == 1:
-                name = entry[1]
-                if node.kind == KIND_INPUT and node.op == name:
-                    bindings[name] = node.value
-                    continue
-                if entry[2]:  # multi-occurrence: keys must agree
-                    trace_key = structural_key(node, eq_depth)
-                    bound = var_keys.get(name)
-                    if bound is None:
-                        var_keys[name] = trace_key
-                    elif bound != trace_key:
-                        return None  # the variable would split
-                bindings[name] = node.value
-            else:
-                if node.kind != KIND_CONST or node.value != entry[1]:
-                    return None
-        if collect_ops and self._frontier_hits(trace, op_idents):
-            return None  # an expanded position is truncated: full merge
-        return bindings
-
     # ------------------------------------------------------------------
     # The ident-based fast path (pooled traces, no materialized nodes)
     # ------------------------------------------------------------------
@@ -466,7 +375,7 @@ class Generalization:
         unmodified full merge, so results are identical to the
         node-based path by construction.
         """
-        if self.fast and self.expression is not None:
+        if self.expression is not None:
             bindings = self._fast_update_pooled(pool, ident)
             if bindings is not None:
                 return self.expression, bindings
@@ -480,13 +389,10 @@ class Generalization:
         plus value collection.  Callers that already ran (and failed)
         :meth:`_fast_update_pooled` jump straight here."""
         node = pool.node(ident)
-        if self.fast and self.expression is not None:
-            state = _UpdateState()
-            if node.depth > self.max_depth:
-                state.truncated = self._truncation_frontier(node)
-            self.expression = self._merge(self.expression, node, state)
-        else:
-            self.update(node)
+        state = _UpdateState()
+        if node.depth > self.max_depth:
+            state.truncated = self._truncation_frontier(node)
+        self._absorb(node, state)
         if self.stats is not None:
             self.stats.antiunify_merge += 1
         bindings = {}
@@ -521,8 +427,14 @@ class Generalization:
     ) -> Optional[Dict[str, float]]:
         """Verify-and-collect over the pool's flat arrays.
 
-        Decision-for-decision identical to :meth:`_fast_update`; the
-        truncation frontier comes from the pool's distance index (or
+        Mirrors the full merge decision-for-decision — same
+        variable-consistency rule, same truncation handling — but
+        instead of *building* the merged expression it *bails* the
+        moment the merge would return anything but the existing one,
+        so results are identical to the reference walk.  Positions that
+        are already variables are indifferent to truncation — the merge
+        computes the same bounded-depth key either way.  The truncation
+        frontier comes from the pool's distance index (or
         :meth:`~repro.core.trace.TracePool.deep_marks` when the index
         is capped below the depth bound).  Expressions too large for
         the flat program materialize the node and reuse the node-based
@@ -686,8 +598,8 @@ class Generalization:
         """Whether any of ``op_idents`` occurs at the truncation
         frontier (depth ``max_depth + 1``) of ``trace`` — the only way
         deep-trace truncation can invalidate a successful fast walk.
-        Only reached for unpooled traces (no distance index), so the
-        full frontier walk is acceptable here."""
+        Only reached when the trace's distance index stops short of
+        the bound, so the full frontier walk is acceptable here."""
         return not self._deep_marks(trace).isdisjoint(op_idents)
 
     # ------------------------------------------------------------------

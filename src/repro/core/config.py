@@ -20,6 +20,7 @@ experiments can sweep them:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -115,7 +116,7 @@ class AnalysisConfig:
     #: (:mod:`repro.bigfloat.doubledouble`) and escalate to the
     #: BigFloat working tier on any decision the hardware pair cannot
     #: certify.  ``None`` (the default) resolves from the
-    #: ``REPRO_HWTIER`` environment variable (on unless it is "0"); the
+    #: ``REPRO_HWTIER`` environment variable (see :func:`env_switch`); the
     #: field is serialized only when explicitly set, so default request
     #: digests are unchanged.  Ignored by the "fixed" policy and by
     #: non-round-to-nearest roundings, and reports are byte-identical
@@ -190,6 +191,19 @@ class AnalysisConfig:
         return replace(self, **changes)
 
 
+#: Values that turn an on-by-default environment switch off.
+_SWITCH_OFF = frozenset({"0", "false", "off"})
+
+
+def env_switch(name: str) -> bool:
+    """The state of the on-by-default environment switch ``name``
+    (``REPRO_BATCHED``, ``REPRO_DEGRADE``, ``REPRO_HWTIER``,
+    ``REPRO_STATIC``): off for "0", "false" or "off", compared
+    case- and whitespace-insensitively; on when unset or anything else.
+    """
+    return os.environ.get(name, "1").strip().lower() not in _SWITCH_OFF
+
+
 def resolve_hw_tier(config: AnalysisConfig) -> bool:
     """Effective hardware-tier switch for ``config``.
 
@@ -197,10 +211,8 @@ def resolve_hw_tier(config: AnalysisConfig) -> bool:
     defers to the ``REPRO_HWTIER`` environment variable (the CI
     kill-switch), defaulting to on.
     """
-    import os
-
     if config.precision_policy != "adaptive":
         return False
     if config.hw_tier is not None:
         return bool(config.hw_tier)
-    return os.environ.get("REPRO_HWTIER", "1") != "0"
+    return env_switch("REPRO_HWTIER")

@@ -212,8 +212,8 @@ class TracePool:
     The pool *is* the trace store: every trace is an integer ident
     indexing parallel flat arrays (kind, op name, argument idents,
     value, source location, depth, distance index).  The hot path —
-    tracer callbacks, the kernel-result cache, the steady-state
-    anti-unification walk — operates on idents and these arrays only;
+    tracer callbacks and the steady-state anti-unification walk —
+    operates on idents and these arrays only;
     no :class:`TraceNode` objects are allocated per operation.
     Structured nodes are materialized *lazily* (:meth:`node`,
     :meth:`node_capped`) at the places that genuinely need a tree:

@@ -4,6 +4,10 @@ Supports the FPCore 1.x constructs the corpus and reports need:
 operators, literals (integer, decimal, rational, scientific), named
 constants, let/let*, while/while*, if, preconditions and other
 properties, and the ``!`` annotation form (parsed, annotations dropped).
+
+Bracket nesting is capped at :data:`MAX_NESTING_DEPTH` levels; deeper
+source raises :class:`FPCoreSyntaxError` before any recursive walk
+(parser, printer, compiler, analysis) sees it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,16 @@ from repro.fpcore.ast import (
 
 class FPCoreSyntaxError(ValueError):
     """Raised when FPCore source text cannot be parsed."""
+
+
+#: Deepest bracket nesting accepted, counting the ``(FPCore ...)`` form
+#: itself as one level: ``(FPCore (x) (+ (+ x 1) 1))`` nests 3 deep
+#: (the corpus peaks at 12).  The recursive walks downstream of the
+#: parser — its own descent, the printer, the compiler, the analysis,
+#: AST equality and ``repr`` — take up to four Python frames per level,
+#: so at this depth they all stay within half of Python's default
+#: recursion limit of 1000.
+MAX_NESTING_DEPTH = 128
 
 
 _TOKEN_PATTERN = re.compile(
@@ -72,6 +86,10 @@ def _read_sexprs(tokens: List[str]) -> List[SExpr]:
     stack: List[List[SExpr]] = []
     for token in tokens:
         if token == "(":
+            if len(stack) >= MAX_NESTING_DEPTH:
+                raise FPCoreSyntaxError(
+                    f"nesting deeper than {MAX_NESTING_DEPTH} levels"
+                )
             stack.append([])
         elif token == ")":
             if not stack:

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import (
     ENGINE_COMPILED,
     ENGINE_REFERENCE,
+    env_switch,
     resolve_hw_tier,
 )
 from repro.machine.interpreter import MachineError
@@ -72,9 +72,7 @@ def degradation_enabled(override: Optional[bool] = None) -> bool:
     """The effective ladder switch: explicit override, else the env."""
     if override is not None:
         return override
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "off"
-    )
+    return env_switch(ENV_VAR)
 
 
 def classify(exc: BaseException) -> Optional[str]:
@@ -90,9 +88,7 @@ def _batched_possible(request) -> bool:
     """Whether the request's default feature stack batches at all."""
     if request.features is not None:
         return bool(request.features.batched)
-    from repro.core.analysis import _batched_default
-
-    return _batched_default()
+    return env_switch("REPRO_BATCHED")
 
 
 class DegradationLadder:

@@ -3,8 +3,8 @@
 The acceptance bar of the compiled engine is *byte-identical*
 ``AnalysisResult`` JSON against the reference engine — across the
 whole corpus, under both precision policies, through the batch API,
-and for every individual fast-path layer (threaded interpreter, trace
-pool, steady-state anti-unification).
+and for every compiled stack (sequential or batched, with or without
+the profile counters).
 """
 
 import pytest
@@ -66,31 +66,17 @@ def analysis_signature(analysis):
     return rows
 
 
-class TestLayerAttribution:
-    """Each fast-path layer alone must preserve results exactly."""
+class TestStackParity:
+    """Every compiled stack — sequential or batched, profile counters
+    off or on — must match the reference engine exactly, under both
+    precision policies."""
 
-    LAYERS = [
-        EngineFeatures(True, False, False),   # dispatch only
-        EngineFeatures(False, True, False),   # trace pool only
-        EngineFeatures(False, False, True),   # fast anti-unify only
-        EngineFeatures(True, True, True),     # PR-3 stack
-        EngineFeatures(True, True, True, kernel_cache=True),  # PR-4 stack
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True),  # fused per-site pipeline
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True, profile=True),  # + counters
-        EngineFeatures(True, True, True, fused_pipeline=True),  # no kcache
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True, batched=True),  # PR-7 stack
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True, batched=True,
-                       profile=True),  # batched + counters
-        EngineFeatures(True, True, True, fused_pipeline=True,
-                       batched=True),  # batched without kernel cache
-    ]
-
-    @pytest.mark.parametrize("features", LAYERS)
-    def test_each_layer_is_report_identical(self, features):
+    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("profile", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_compiled_stack_is_report_identical(
+        self, batched, profile, policy
+    ):
         from repro.fpcore.printer import format_fpcore
         from repro.machine import compile_fpcore
         from repro.api.sampling import sample_inputs
@@ -98,16 +84,22 @@ class TestLayerAttribution:
         corpus = load_corpus()
         chosen = [c for c in corpus if "(while" in format_fpcore(c)][:2] \
             + corpus[:4]
-        baseline_features = EngineFeatures(False, False, False)
+        features = EngineFeatures(batched=batched, profile=profile)
+        compiled = AnalysisConfig(precision_policy=policy)
+        reference = compiled.with_(engine="reference")
         for core in chosen:
             program = compile_fpcore(core)
             points = sample_inputs(core, 3, seed=3)
-            base, __ = analyze_program(
-                program, points, features=baseline_features
+            base, __ = analyze_program(program, points, config=reference)
+            fast, __ = analyze_program(
+                program, points, config=compiled, features=features
             )
-            fast, __ = analyze_program(program, points, features=features)
             assert analysis_signature(fast) == analysis_signature(base), \
                 f"{core.name} diverged under {features}"
+            if batched and "(while" not in format_fpcore(core):
+                assert fast.batched_lanes == len(points)
+            if profile:
+                assert fast.stage_counters.fused_ops > 0
 
 
 class TestBatchedParity:

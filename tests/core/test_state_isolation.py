@@ -3,7 +3,7 @@
 Two guards this suite pins:
 
 * **Counter freshness** — every ``HerbgrindAnalysis`` starts with zero
-  engine counters (kernel-cache hits/misses, pipeline stage counters),
+  engine counters (pipeline stage and tier-residency counters),
   and repeated ``analyze_batch`` calls through one session never see a
   previous analysis' counts.
 * **Pool memory** — the ident-first :class:`~repro.core.trace.TracePool`
@@ -40,8 +40,8 @@ def run_analysis(points, features=PROFILED):
 class TestCounterReset:
     def test_fresh_analysis_has_zero_counters(self):
         analysis = HerbgrindAnalysis(FAST)
-        assert analysis.kernel_cache_hits == 0
-        assert analysis.kernel_cache_misses == 0
+        assert analysis.hw_kernel_ops == 0
+        assert analysis.hw_promotions == 0
         assert all(
             value == 0 for value in analysis.stage_counters.to_dict().values()
         )
@@ -52,8 +52,7 @@ class TestCounterReset:
         second, __ = run_analysis(points)
         assert first.stage_counters.to_dict() == \
             second.stage_counters.to_dict()
-        assert first.kernel_cache_hits == second.kernel_cache_hits
-        assert first.kernel_cache_misses == second.kernel_cache_misses
+        assert first.tier_residency() == second.tier_residency()
         assert second.stage_counters.to_dict()["fused_ops"] > 0
 
     def test_stage_counters_reset_method(self):

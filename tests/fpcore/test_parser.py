@@ -21,7 +21,7 @@ from repro.fpcore import (
     parse_fpcore,
     parse_fpcores,
 )
-from repro.fpcore.parser import parse_number, tokenize
+from repro.fpcore.parser import MAX_NESTING_DEPTH, parse_number, tokenize
 
 
 class TestTokenizer:
@@ -155,6 +155,43 @@ class TestFPCoreForms:
     def test_body_required(self):
         with pytest.raises(FPCoreSyntaxError):
             parse_fpcore("(FPCore (x))")
+
+
+def nested(levels):
+    """An FPCore whose body nests ``levels`` additions: its bracket
+    depth is ``levels + 1``, counting the (FPCore ...) form."""
+    return ("(FPCore (x) :pre (<= 1 x 2) " + "(+ " * levels + "x"
+            + " 1)" * levels + ")")
+
+
+class TestNestingLimit:
+    def test_at_the_limit_the_whole_pipeline_runs(self):
+        from repro.api import AnalysisSession
+        from repro.core import AnalysisConfig
+        from repro.machine import compile_fpcore
+
+        core = parse_fpcore(nested(MAX_NESTING_DEPTH - 1))
+        assert parse_fpcore(format_fpcore(core)).body == core.body
+        compile_fpcore(core)
+        session = AnalysisSession(
+            config=AnalysisConfig(shadow_precision=128), num_points=2,
+            result_cache_size=0,
+        )
+        result = session.analyze(core)
+        assert result.raw.runs == 2
+        assert "static" in result.extra
+
+    def test_one_past_the_limit_is_a_syntax_error(self):
+        with pytest.raises(FPCoreSyntaxError, match="nesting"):
+            parse_fpcore(nested(MAX_NESTING_DEPTH))
+
+    @pytest.mark.parametrize("parse,source", [
+        (parse_fpcore, nested(1000)),
+        (parse_expr, "(+ " * 1000 + "x" + " 1)" * 1000),
+    ])
+    def test_very_deep_input_is_a_syntax_error(self, parse, source):
+        with pytest.raises(FPCoreSyntaxError, match="nesting"):
+            parse(source)
 
 
 class TestPrinterRoundtrip:

@@ -24,7 +24,6 @@ import struct
 import pytest
 
 from repro.core import AnalysisConfig, EngineFeatures, analyze_program
-from repro.core.analysis import _batched_default
 from repro.fpcore.parser import parse_fpcore
 from repro.machine import (
     BatchedProgram,
@@ -35,12 +34,8 @@ from repro.machine import (
 )
 from repro.machine.interpreter import MachineError
 
-BATCHED = EngineFeatures(
-    True, True, True, kernel_cache=True, fused_pipeline=True, batched=True
-)
-SEQUENTIAL = EngineFeatures(
-    True, True, True, kernel_cache=True, fused_pipeline=True, batched=False
-)
+BATCHED = EngineFeatures(batched=True)
+SEQUENTIAL = EngineFeatures(batched=False)
 
 STRAIGHT = parse_fpcore("(FPCore (x y) (- (+ x y) x))")
 BRANCHY = parse_fpcore(
@@ -260,8 +255,7 @@ class TestColumnParity:
         assert analysis.batched_lanes == len(points)
         config = AnalysisConfig(precision_policy=policy)
         reference, out_r = analyze_program(
-            program, points, config=config,
-            features=EngineFeatures.for_engine("reference"),
+            program, points, config=config.with_(engine="reference"),
         )
         _, out_b = analyze_program(
             program, points, config=config, features=BATCHED
@@ -330,11 +324,9 @@ class TestErrorFallback:
 class TestEnvironmentSwitch:
     def test_repro_batched_off_disables_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert not _batched_default()
         assert not EngineFeatures.for_engine("compiled").batched
 
     def test_repro_batched_on_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert _batched_default()
         assert EngineFeatures.for_engine("compiled").batched
         assert not EngineFeatures.for_engine("reference").batched

@@ -73,6 +73,21 @@ class TestSinglePath:
         assert json.loads(outcome.body)["error"]["type"] == \
             "invalid_request"
 
+    def test_too_deep_fpcore_is_structured_400(self):
+        deep = "(FPCore (x) " + "(+ " * 1000 + "x" + " 1)" * 1000 + ")"
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            return await _closed(
+                service, service.analyze_payload({"core": deep})
+            )
+
+        outcome = asyncio.run(scenario())
+        assert outcome.status == 400
+        error = json.loads(outcome.body)["error"]
+        assert error["type"] == "invalid_request"
+        assert error["message"].startswith("FPCoreSyntaxError: nesting")
+
     def test_analysis_failure_is_structured_500_with_digest(self):
         # Parses as a request but the compiler rejects the free `y`.
         bad = {"core": "(FPCore (x) (+ x y))", "num_points": 2,

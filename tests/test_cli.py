@@ -56,6 +56,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max-error" in out
 
+    def test_malformed_fpcore_is_a_one_line_error(self, capsys):
+        deep = "(FPCore (x) " + "(+ " * 1000 + "x" + " 1)" * 1000 + ")"
+        assert main(["analyze", deep, "--points", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: invalid FPCore: nesting")
+        assert err.count("\n") == 1
+
     def test_corpus_unknown_name(self):
         assert main(["corpus", "--name", "nope", "--points", "2"]) == 1
 
